@@ -43,7 +43,7 @@ CHAOS_SEED ?= 1
 CHAOS_TRIALS ?= 64
 ASYNC_CHAOS_SEED ?= 7
 ASYNC_CHAOS_TRIALS ?= 48
-BENCH_BASELINE ?= BENCH_2026-08-07.json
+BENCH_BASELINE ?= BENCH_2026-10-18.json
 BENCH_GATE_ENTRIES ?= micro:timedsim-tick,micro:eig-resolve,micro:async-sched,micro:cache-evict
 BENCH_GATE_THRESHOLD ?= 10
 TRACE_FILE ?= /tmp/flm-trace-smoke.jsonl

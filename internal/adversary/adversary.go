@@ -78,6 +78,9 @@ func (d *crashDevice) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 type omissionDevice struct {
 	inner sim.Device
 	drop  map[string]bool
+	//flmlint:allow flmfingerprint drop (hashed) laid out over the neighbor list (keyed)
+	dropPort []bool // drop by port
+	out      sim.Outbox
 }
 
 var _ sim.Device = (*omissionDevice)(nil)
@@ -106,7 +109,12 @@ func Omission(inner sim.Builder, dropTo ...string) sim.Builder {
 		for _, nb := range dropTo {
 			drop[nb] = true
 		}
-		return &omissionDevice{inner: inner(self, neighbors, input), drop: drop}
+		nbs := sortedCopy(neighbors)
+		dropPort := make([]bool, len(nbs))
+		for i, nb := range nbs {
+			dropPort[i] = drop[nb]
+		}
+		return &omissionDevice{inner: inner(self, neighbors, input), drop: drop, dropPort: dropPort}
 	}
 }
 
@@ -116,13 +124,19 @@ func (d *omissionDevice) Init(self string, neighbors []string, input sim.Input) 
 
 func (d *omissionDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	out := d.inner.Step(round, inbox)
-	filtered := sim.Outbox{}
-	for nb, p := range out {
-		if !d.drop[nb] {
-			filtered[nb] = p
-		}
+	if out == nil {
+		return nil
 	}
-	return filtered
+	if d.out == nil {
+		d.out = make(sim.Outbox, len(out))
+	}
+	for i, p := range out {
+		if d.dropPort[i] {
+			p = sim.None
+		}
+		d.out[i] = p
+	}
+	return d.out
 }
 
 func (d *omissionDevice) Snapshot() string {
@@ -143,7 +157,9 @@ func (d *omissionDevice) Output() (sim.Decision, bool) { return sim.Decision{}, 
 type equivocator struct {
 	brainA, brainB sim.Device
 	aIn, bIn       sim.Input
-	useB           map[string]bool
+	nbs            []string // sorted: the port order
+	useB           []bool   // by port: whether that neighbor sees brain B
+	out            sim.Outbox
 }
 
 var _ sim.Device = (*equivocator)(nil)
@@ -158,13 +174,12 @@ func (d *equivocator) DeviceFingerprint() string {
 	if fpA == "" || fpB == "" {
 		return ""
 	}
-	split := make([]string, 0, len(d.useB))
-	for nb, b := range d.useB {
-		if b {
+	split := make([]string, 0, len(d.nbs))
+	for i, nb := range d.nbs {
+		if d.useB[i] {
 			split = append(split, nb)
 		}
 	}
-	sort.Strings(split)
 	return fmt.Sprintf("adv/equiv[%s]a=%q:%s|b=%q:%s",
 		strings.Join(split, ","), string(d.aIn), fpA, string(d.bIn), fpB)
 }
@@ -179,12 +194,11 @@ func Equivocate(inner sim.Builder, a, b sim.Input, faceB func(neighbor string) b
 			brainB: inner(self, neighbors, b),
 			aIn:    a,
 			bIn:    b,
-			useB:   make(map[string]bool, len(neighbors)),
+			nbs:    sortedCopy(neighbors),
 		}
-		for _, nb := range neighbors {
-			if faceB(nb) {
-				d.useB[nb] = true
-			}
+		d.useB = make([]bool, len(d.nbs))
+		for i, nb := range d.nbs {
+			d.useB[i] = faceB(nb)
 		}
 		return d
 	}
@@ -197,18 +211,23 @@ func (d *equivocator) Init(self string, neighbors []string, input sim.Input) {
 func (d *equivocator) Step(round int, inbox sim.Inbox) sim.Outbox {
 	outA := d.brainA.Step(round, inbox)
 	outB := d.brainB.Step(round, inbox)
-	out := sim.Outbox{}
-	for nb, p := range outA {
-		if !d.useB[nb] {
-			out[nb] = p
+	if outA == nil && outB == nil {
+		return nil
+	}
+	if d.out == nil {
+		d.out = make(sim.Outbox, len(d.nbs))
+	}
+	for i, b := range d.useB {
+		face := outA
+		if b {
+			face = outB
+		}
+		d.out[i] = sim.None
+		if face != nil {
+			d.out[i] = face[i]
 		}
 	}
-	for nb, p := range outB {
-		if d.useB[nb] {
-			out[nb] = p
-		}
-	}
-	return out
+	return d.out
 }
 
 func (d *equivocator) Snapshot() string {
@@ -227,6 +246,7 @@ type noiseDevice struct {
 	seed     int64 // builder seed, pre node-name mixing (fingerprint identity)
 	round    int
 	alphabet []sim.Payload
+	out      sim.Outbox
 }
 
 var _ sim.Device = (*noiseDevice)(nil)
@@ -255,12 +275,11 @@ func Noise(seed int64, alphabet ...sim.Payload) sim.Builder {
 		h := fnv.New64a()
 		h.Write([]byte(self))
 		d := &noiseDevice{
-			neighbors: append([]string(nil), neighbors...),
+			neighbors: sortedCopy(neighbors),
 			rng:       rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
 			seed:      seed,
 			alphabet:  alphabet,
 		}
-		sort.Strings(d.neighbors)
 		return d
 	}
 }
@@ -268,12 +287,14 @@ func Noise(seed int64, alphabet ...sim.Payload) sim.Builder {
 func (d *noiseDevice) Init(self string, neighbors []string, input sim.Input) {}
 
 func (d *noiseDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = d.alphabet[d.rng.Intn(len(d.alphabet))]
+	if d.out == nil {
+		d.out = make(sim.Outbox, len(d.neighbors))
+	}
+	for i := range d.out {
+		d.out[i] = d.alphabet[d.rng.Intn(len(d.alphabet))]
 	}
 	d.round = round
-	return out
+	return d.out
 }
 
 func (d *noiseDevice) Snapshot() string { return fmt.Sprintf("noise@%d", d.round) }
@@ -285,7 +306,8 @@ func (d *noiseDevice) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 // audience), impersonating relayed traffic without understanding it.
 type mirrorDevice struct {
 	neighbors []string
-	pending   map[string]sim.Payload
+	pending   []sim.Payload // last round's inbox, by port
+	out       sim.Outbox
 	round     int
 }
 
@@ -305,38 +327,37 @@ func Mirror() sim.Builder {
 }
 
 func (d *mirrorDevice) Init(self string, neighbors []string, input sim.Input) {
-	d.neighbors = append([]string(nil), neighbors...)
-	sort.Strings(d.neighbors)
-	d.pending = map[string]sim.Payload{}
+	d.neighbors = sortedCopy(neighbors)
+	d.pending = make([]sim.Payload, len(d.neighbors))
+	d.out = nil
 }
 
 func (d *mirrorDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	d.round = round
-	out := sim.Outbox{}
-	if len(d.neighbors) == 0 {
-		return out
+	n := len(d.neighbors)
+	if n == 0 {
+		return nil
+	}
+	if d.out == nil {
+		d.out = make(sim.Outbox, n)
 	}
 	// Send to neighbor i what neighbor i+1 (cyclically) said last round.
-	for i, nb := range d.neighbors {
-		src := d.neighbors[(i+1)%len(d.neighbors)]
-		if p, ok := d.pending[src]; ok && p != sim.None {
-			out[nb] = p
-		}
+	for i := range d.out {
+		d.out[i] = d.pending[(i+1)%n]
 	}
-	d.pending = map[string]sim.Payload{}
-	for from, p := range inbox {
-		d.pending[from] = p
-	}
-	return out
+	clear(d.pending)
+	copy(d.pending, inbox)
+	return d.out
 }
 
 func (d *mirrorDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.pending))
-	for k := range d.pending {
-		keys = append(keys, k)
+	heard := make([]string, 0, len(d.pending))
+	for i, p := range d.pending {
+		if p != sim.None {
+			heard = append(heard, d.neighbors[i])
+		}
 	}
-	sort.Strings(keys)
-	return fmt.Sprintf("mirror@%d[%s]", d.round, strings.Join(keys, ","))
+	return fmt.Sprintf("mirror@%d[%s]", d.round, strings.Join(heard, ","))
 }
 
 func (d *mirrorDevice) Output() (sim.Decision, bool) { return sim.Decision{}, false }
@@ -368,6 +389,12 @@ func (deadDevice) Init(self string, neighbors []string, input sim.Input) {}
 func (deadDevice) Step(round int, inbox sim.Inbox) sim.Outbox           { return nil }
 func (deadDevice) Snapshot() string                                     { return "dead" }
 func (deadDevice) Output() (sim.Decision, bool)                         { return sim.Decision{}, false }
+
+func sortedCopy(names []string) []string {
+	c := append([]string(nil), names...)
+	sort.Strings(c)
+	return c
+}
 
 // Strategy couples a display name with a way to corrupt a given honest
 // builder, so protocol tests can sweep a whole panel.

@@ -26,9 +26,9 @@ func (d *echoDevice) Init(self string, neighbors []string, input sim.Input) {
 
 func (d *echoDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	d.round = round
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(d.input)
+	out := make(sim.Outbox, len(d.nbs))
+	for i := range out {
+		out[i] = sim.Payload(d.input)
 	}
 	return out
 }

@@ -38,6 +38,7 @@ type medianDevice struct {
 	decideRound int
 	decided     bool
 	decision    float64
+	out         sim.Outbox
 }
 
 var _ sim.Device = (*medianDevice)(nil)
@@ -71,28 +72,25 @@ func (d *medianDevice) Init(self string, neighbors []string, input sim.Input) {
 }
 
 func (d *medianDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	absorbReals(d.seen, inbox)
+	absorbReals(d.seen, d.nbs, inbox)
 	if !d.decided && round >= d.decideRound {
 		vals := valuesWithDefault(d.seen, d.nbs, d.value)
 		d.decision = median(vals)
 		d.decided = true
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(sim.EncodeReal(d.value))
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.nbs), sim.Payload(sim.EncodeReal(d.value)))
+	return d.out
 }
 
-func absorbReals(seen map[string]float64, inbox sim.Inbox) {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		if v, err := sim.DecodeReal(string(inbox[s])); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
-			seen[s] = v
+// absorbReals records, by sender name, every well-formed finite value in
+// the inbox; nbs names the ports.
+func absorbReals(seen map[string]float64, nbs []string, inbox sim.Inbox) {
+	for i, p := range inbox {
+		if p == sim.None {
+			continue
+		}
+		if v, err := sim.DecodeReal(string(p)); err == nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
+			seen[nbs[i]] = v
 		}
 	}
 }
@@ -158,11 +156,13 @@ type dlpswDevice struct {
 	self     string
 	peers    []string
 	nbs      []string
+	peerPort []int // peer -> port; -1 for non-neighbors
 	f        int
 	rounds   int
 	value    float64
 	decided  bool
 	decision float64
+	out      sim.Outbox
 }
 
 var _ sim.Device = (*dlpswDevice)(nil)
@@ -191,6 +191,7 @@ func (d *dlpswDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.nbs = append([]string(nil), neighbors...)
 	sort.Strings(d.nbs)
+	d.peerPort = sim.PortsOf(d.peers, d.nbs)
 	v, err := sim.DecodeReal(string(input))
 	if err != nil {
 		v = 0
@@ -202,13 +203,13 @@ func (d *dlpswDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if round > 0 && !d.decided {
 		vals := make([]float64, 0, len(d.peers))
 		vals = append(vals, d.value)
-		for _, p := range d.peers {
+		for j, p := range d.peers {
 			if p == d.self {
 				continue
 			}
 			v := d.value // silent or garbled peers count as our own value
-			if payload, ok := inbox[p]; ok {
-				if x, err := sim.DecodeReal(string(payload)); err == nil && !math.IsNaN(x) && !math.IsInf(x, 0) {
+			if port := d.peerPort[j]; port >= 0 && inbox[port] != sim.None {
+				if x, err := sim.DecodeReal(string(inbox[port])); err == nil && !math.IsNaN(x) && !math.IsInf(x, 0) {
 					v = x
 				}
 			}
@@ -223,11 +224,8 @@ func (d *dlpswDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if d.decided {
 		return nil
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = sim.Payload(sim.EncodeReal(d.value))
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.nbs), sim.Payload(sim.EncodeReal(d.value)))
+	return d.out
 }
 
 // Reduce implements the DLPSW averaging function: sort, discard the f

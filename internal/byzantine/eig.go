@@ -83,6 +83,7 @@ type eigMapDevice struct {
 	val       map[string]string
 	decided   bool
 	decision  string
+	out       sim.Outbox
 }
 
 var _ sim.Device = (*eigMapDevice)(nil)
@@ -241,13 +242,8 @@ func (d *eigMapDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 }
 
 func (d *eigMapDevice) finishAbsorb(round int, inbox sim.Inbox) {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.absorb(s, inbox[s], round)
+	for i, p := range inbox {
+		d.absorb(d.neighbors[i], p, round)
 	}
 	if round == d.f+1 {
 		d.decision = d.resolve("")
@@ -256,11 +252,8 @@ func (d *eigMapDevice) finishAbsorb(round int, inbox sim.Inbox) {
 }
 
 func (d *eigMapDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.neighbors), p)
+	return d.out
 }
 
 // resolve computes the decision value of a tree label bottom-up: leaves

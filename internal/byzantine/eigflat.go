@@ -145,13 +145,14 @@ type eigFlatDevice struct {
 	self      string
 	selfIdx   int
 	neighbors []string
+	portPeer  []int // port -> peer digit; -1 for a neighbor outside the peer set
 	input     string
 	vals      []string // slot -> value; "" = absent (stored values are never empty)
 	extra     map[string]string
 	claims    []string
-	senders   []string
 	decided   bool
 	decision  string
+	out       sim.Outbox
 }
 
 var _ sim.Device = (*eigFlatDevice)(nil)
@@ -179,6 +180,14 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.selfIdx = idx
 	d.neighbors = neighbors
+	d.portPeer = make([]int, len(neighbors))
+	for i, nb := range neighbors {
+		j, ok := sh.index[nb]
+		if !ok {
+			j = -1
+		}
+		d.portPeer[i] = j
+	}
 	d.input = sanitizeValue(string(input))
 	if d.vals == nil {
 		d.vals = make([]string, sh.offset[sh.f+2])
@@ -220,14 +229,8 @@ func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 }
 
 func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
-	senders := d.senders[:0]
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	d.senders = senders
-	for _, s := range senders {
-		d.absorb(s, inbox[s], round)
+	for i, p := range inbox {
+		d.absorb(i, p, round)
 	}
 	if round == d.shape.f+1 {
 		d.decision = d.resolveRoot()
@@ -235,15 +238,17 @@ func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
 	}
 }
 
-// absorb records the claims of a round-(level) payload, storing
-// val(σ·sender) = v for each well-formed claim. The payload is walked in
-// place (the claim codec is flat: claims split on ';', label from value
-// at the first '='), matching eigMapDevice.absorb claim for claim.
-func (d *eigFlatDevice) absorb(sender string, payload sim.Payload, level int) {
+// absorb records the claims of a round-(level) payload received on the
+// given port, storing val(σ·sender) = v for each well-formed claim. The
+// payload is walked in place (the claim codec is flat: claims split on
+// ';', label from value at the first '='), matching eigMapDevice.absorb
+// claim for claim.
+func (d *eigFlatDevice) absorb(port int, payload sim.Payload, level int) {
 	if payload == sim.None {
 		return
 	}
-	sIdx, sPeer := d.shape.index[sender]
+	sender, sIdx := d.neighbors[port], d.portPeer[port]
+	sPeer := sIdx >= 0
 	s := string(payload)
 	for {
 		claim := s
@@ -412,11 +417,8 @@ func (d *eigFlatDevice) resolveRoot() string {
 }
 
 func (d *eigFlatDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.neighbors), p)
+	return d.out
 }
 
 // Snapshot canonically encodes the whole EIG tree plus decision status,

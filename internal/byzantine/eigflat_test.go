@@ -66,33 +66,34 @@ func TestFlatEIGMatchesMapReference(t *testing.T) {
 		if shape == nil {
 			t.Fatalf("trial %d: shape unexpectedly ineligible", trial)
 		}
+		// The neighbors (already in port order) are every peer plus a
+		// non-peer, whose port carries legal Byzantine noise from outside
+		// the peer set.
+		nbs := append([]string{"outsider"}, peers...)
 		flat := &eigFlatDevice{shape: shape}
-		flat.Init(self, peers, sim.Input(input))
+		flat.Init(self, nbs, sim.Input(input))
 		ref := &eigMapDevice{f: f, peers: append([]string(nil), peers...)}
-		ref.Init(self, peers, sim.Input(input))
+		ref.Init(self, nbs, sim.Input(input))
 
 		if flat.DeviceFingerprint() != ref.DeviceFingerprint() {
 			t.Fatalf("trial %d: fingerprints differ: %q vs %q", trial, flat.DeviceFingerprint(), ref.DeviceFingerprint())
 		}
 		for round := 0; round < EIGRounds(f)+1; round++ {
-			inbox := sim.Inbox{}
-			for _, p := range peers {
-				if p == self || rng.Intn(4) == 0 {
-					continue // silent peer
+			inbox := make(sim.Inbox, len(nbs))
+			for i, p := range nbs {
+				if p == self || rng.Intn(4) == 0 || (p == "outsider" && rng.Intn(3) != 0) {
+					continue // silent port
 				}
-				inbox[p] = randomClaimPayload(rng, peers)
-			}
-			if rng.Intn(3) == 0 {
-				inbox["outsider"] = randomClaimPayload(rng, peers)
+				inbox[i] = randomClaimPayload(rng, peers)
 			}
 			outFlat := flat.Step(round, inbox)
 			outRef := ref.Step(round, inbox)
 			if len(outFlat) != len(outRef) {
 				t.Fatalf("trial %d round %d: outbox sizes %d vs %d", trial, round, len(outFlat), len(outRef))
 			}
-			for to, p := range outRef {
-				if outFlat[to] != p {
-					t.Fatalf("trial %d round %d: payload to %s differs:\nflat: %q\nref:  %q", trial, round, to, outFlat[to], p)
+			for i, p := range outRef {
+				if outFlat[i] != p {
+					t.Fatalf("trial %d round %d: payload to %s differs:\nflat: %q\nref:  %q", trial, round, nbs[i], outFlat[i], p)
 				}
 			}
 			if sf, sr := flat.Snapshot(), ref.Snapshot(); sf != sr {
@@ -137,11 +138,11 @@ func TestFlatEIGOutsiderSelfFallsBack(t *testing.T) {
 	ref.Init("zz", peers, "1")
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < EIGRounds(1); round++ {
-		inbox := sim.Inbox{"a": randomClaimPayload(rng, peers), "b": "=1"}
+		inbox := sim.Inbox{randomClaimPayload(rng, peers), "=1", sim.None, sim.None}
 		outFlat, outRef := flat.Step(round, inbox), ref.Step(round, inbox)
-		for to, p := range outRef {
-			if outFlat[to] != p {
-				t.Fatalf("round %d: payload to %s differs", round, to)
+		for i, p := range outRef {
+			if outFlat[i] != p {
+				t.Fatalf("round %d: payload to %s differs", round, peers[i])
 			}
 		}
 		if flat.Snapshot() != ref.Snapshot() {

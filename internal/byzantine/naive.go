@@ -167,6 +167,7 @@ type simpleDevice struct {
 	decide      func(*simpleDevice) string
 	decided     bool
 	decision    string
+	out         sim.Outbox
 }
 
 var _ sim.Device = (*simpleDevice)(nil)
@@ -193,24 +194,17 @@ func (d *simpleDevice) Init(self string, neighbors []string, input sim.Input) {
 }
 
 func (d *simpleDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.ingest(s, inbox[s], round)
+	for i, p := range inbox {
+		if p != sim.None {
+			d.ingest(d.nbs[i], p, round)
+		}
 	}
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
 		d.decision = d.decide(d)
 	}
-	out := sim.Outbox{}
-	msg := d.message(round)
-	for _, nb := range d.nbs {
-		out[nb] = msg
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.nbs), d.message(round))
+	return d.out
 }
 
 // message is "v" in round 0 and the canonical view afterwards.

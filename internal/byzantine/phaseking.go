@@ -17,12 +17,14 @@ type phaseKingDevice struct {
 	self     string
 	peers    []string
 	nbs      []string
+	peerPort []int // peer -> port; -1 for non-neighbors
 	f        int
 	fp       string
 	pref     string
 	mult     int
 	decided  bool
 	decision string
+	out      sim.Outbox
 }
 
 var _ sim.Device = (*phaseKingDevice)(nil)
@@ -61,6 +63,7 @@ func (d *phaseKingDevice) Init(self string, neighbors []string, input sim.Input)
 func (d *phaseKingDevice) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.nbs = neighbors
+	d.peerPort = sim.PortsOf(d.peers, neighbors)
 	d.pref = boolOrDefault(string(input))
 	d.mult = 0
 	d.decided = false
@@ -74,8 +77,8 @@ func boolOrDefault(v string) string {
 	return DefaultValue
 }
 
-// king returns the king of 1-indexed phase k.
-func (d *phaseKingDevice) king(k int) string { return d.peers[(k-1)%len(d.peers)] }
+// king returns the peer index of the king of 1-indexed phase k.
+func (d *phaseKingDevice) king(k int) int { return (k - 1) % len(d.peers) }
 
 // Step drives the two-round phase schedule:
 //
@@ -101,7 +104,7 @@ func (d *phaseKingDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	default:
 		d.tally(inbox)
 		phase := (round + 1) / 2
-		if d.king(phase) == d.self {
+		if d.peers[d.king(phase)] == d.self {
 			return d.broadcast(sim.Payload(d.pref))
 		}
 		return nil
@@ -118,16 +121,14 @@ func (d *phaseKingDevice) tally(inbox sim.Inbox) {
 	} else {
 		zero = 1
 	}
-	for _, p := range d.peers {
-		if p == d.self {
+	for j, port := range d.peerPort {
+		if port < 0 || d.peers[j] == d.self || inbox[port] == sim.None {
 			continue
 		}
-		if payload, ok := inbox[p]; ok {
-			if boolOrDefault(string(payload)) == "1" {
-				one++
-			} else {
-				zero++
-			}
+		if boolOrDefault(string(inbox[port])) == "1" {
+			one++
+		} else {
+			zero++
 		}
 	}
 	if one > zero {
@@ -139,26 +140,23 @@ func (d *phaseKingDevice) tally(inbox sim.Inbox) {
 
 // applyKing keeps the local preference only with a strong majority
 // (> n/2 + f); otherwise it adopts the king's broadcast value.
-func (d *phaseKingDevice) applyKing(king string, inbox sim.Inbox) {
+func (d *phaseKingDevice) applyKing(king int, inbox sim.Inbox) {
 	if 2*d.mult > len(d.peers)+2*d.f {
 		return
 	}
-	if king == d.self {
+	if d.peers[king] == d.self {
 		return // our own broadcast was our pref
 	}
 	kingValue := DefaultValue
-	if payload, ok := inbox[king]; ok {
-		kingValue = boolOrDefault(string(payload))
+	if port := d.peerPort[king]; port >= 0 && inbox[port] != sim.None {
+		kingValue = boolOrDefault(string(inbox[port]))
 	}
 	d.pref = kingValue
 }
 
 func (d *phaseKingDevice) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = p
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.nbs), p)
+	return d.out
 }
 
 func (d *phaseKingDevice) Snapshot() string {

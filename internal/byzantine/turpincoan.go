@@ -29,6 +29,7 @@ type turpinCoan struct {
 	self      string
 	peers     []string
 	neighbors []string
+	peerPort  []int // peer -> port; -1 for non-neighbors
 	f         int
 	fp        string
 	innerB    sim.Builder // hoisted inner-EIG builder, shared across devices
@@ -41,6 +42,7 @@ type turpinCoan struct {
 	decision  string
 	tvals     []string // tally scratch: distinct values and their counts
 	tcnts     []int
+	out       sim.Outbox
 }
 
 var _ sim.Device = (*turpinCoan)(nil)
@@ -88,6 +90,7 @@ func (d *turpinCoan) Init(self string, neighbors []string, input sim.Input) {
 func (d *turpinCoan) init(self string, neighbors []string, input sim.Input) {
 	d.self = self
 	d.neighbors = neighbors
+	d.peerPort = sim.PortsOf(d.peers, neighbors)
 	d.input = sanitizeMV(string(input))
 	d.y = ""
 	d.alt, d.altOK = "", false
@@ -143,7 +146,7 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 			innerB = NewEIG(d.f, d.peers)
 		}
 		d.inner = innerB(d.self, d.neighbors, sim.BoolInput(vote))
-		return d.inner.Step(0, sim.Inbox{})
+		return d.inner.Step(0, nil)
 	default:
 		out := d.inner.Step(round-2, inbox)
 		if dec, ok := d.inner.Output(); ok && !d.decided {
@@ -165,13 +168,13 @@ func (d *turpinCoan) Step(round int, inbox sim.Inbox) sim.Outbox {
 func (d *turpinCoan) tallyPeers(inbox sim.Inbox, own string) {
 	d.tvals, d.tcnts = d.tvals[:0], d.tcnts[:0]
 	d.tallyAdd(own)
-	for _, p := range d.peers {
+	for j, p := range d.peers {
 		if p == d.self {
 			continue
 		}
 		v := tcBot
-		if payload, ok := inbox[p]; ok {
-			s := string(payload)
+		if port := d.peerPort[j]; port >= 0 && inbox[port] != sim.None {
+			s := string(inbox[port])
 			if s == tcBot {
 				v = tcBot
 			} else if sanitized := sanitizeMV(s); sanitized == s {
@@ -194,11 +197,8 @@ func (d *turpinCoan) tallyAdd(v string) {
 }
 
 func (d *turpinCoan) broadcast(p sim.Payload) sim.Outbox {
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = p
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.neighbors), p)
+	return d.out
 }
 
 func (d *turpinCoan) Snapshot() string {

@@ -24,22 +24,21 @@ import (
 	"flm/internal/sim"
 )
 
-// renamedDevice makes a device built for a node of G run at a node of S:
-// it translates neighbor names in both directions, so the inner device
-// observes exactly the local world it would see in G. Phi preserves
-// neighborhoods, so the translation is a bijection on the node's edges.
+// renamedDevice makes a device built for a node of G run at a node of S.
+// Phi preserves neighborhoods, so it maps the S-node's neighbors
+// bijectively onto the G-node's; since both devices number their ports
+// by sorted neighbor name, the renaming is a fixed permutation of ports,
+// and the inner device observes exactly the local world it would see in
+// G.
 type renamedDevice struct {
 	inner sim.Device
-	gName string            // the inner device's G-identity
-	toG   map[string]string // S-neighbor name -> G-neighbor name
-	//flmlint:allow flmfingerprint inverse of toG, which the fingerprint hashes in full
-	toS map[string]string // G-neighbor name -> S-neighbor name
-
-	// Translation buffers reused across Steps (the executor owns the
-	// S-inbox and we own the returned S-outbox per the Device contract,
-	// so neither is retained by anyone between rounds).
-	gInbox sim.Inbox
-	out    sim.Outbox
+	// id is "renamed:" + the inner device's G-identity + the sorted
+	// S>G neighbor pairs: what the inner fingerprint cannot see.
+	id string
+	//flmlint:allow flmfingerprint the permutation is the renaming id hashes, in port form
+	toG  []int // S-port -> G-port
+	gIn  sim.Inbox
+	sOut sim.Outbox
 }
 
 var _ sim.Device = (*renamedDevice)(nil)
@@ -49,54 +48,42 @@ func (d *renamedDevice) Init(self string, neighbors []string, input sim.Input) {
 	// The inner device was initialized with its G-identity at build time.
 }
 
+// Step permutes the S-inbox into G-port order and the inner device's
+// G-outbox back into S-port order, in buffers reused across Steps (the
+// executor owns the S-inbox and we own the returned S-outbox per the
+// Device contract, so neither is retained by anyone between rounds).
 func (d *renamedDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	if d.gInbox == nil {
-		d.gInbox = make(sim.Inbox, len(d.toG))
-	} else {
-		clear(d.gInbox)
+	if d.gIn == nil {
+		d.gIn = make(sim.Inbox, len(d.toG))
 	}
-	for from, p := range inbox {
-		gFrom, ok := d.toG[from]
-		if !ok {
-			continue // cannot happen on a verified cover
-		}
-		d.gInbox[gFrom] = p
+	for s, p := range inbox {
+		d.gIn[d.toG[s]] = p
 	}
-	gOut := d.inner.Step(round, d.gInbox)
-	if d.out == nil {
-		d.out = make(sim.Outbox, len(gOut))
-	} else {
-		clear(d.out)
+	gOut := d.inner.Step(round, d.gIn)
+	if gOut == nil {
+		return nil
 	}
-	for gTo, p := range gOut {
-		sTo, ok := d.toS[gTo]
-		if !ok {
-			// The inner device addressed a G-node with no local image;
-			// drop it (NewSystem would reject the unknown name). A
-			// correct cover gives every G-neighbor an image.
-			continue
-		}
-		d.out[sTo] = p
+	if d.sOut == nil {
+		d.sOut = make(sim.Outbox, len(d.toG))
 	}
-	return d.out
+	for s, g := range d.toG {
+		d.sOut[s] = gOut[g]
+	}
+	return d.sOut
 }
 
 // DeviceFingerprint is the inner device's fingerprint qualified by the
 // G-identity and the neighbor renaming. The inner fingerprint covers
-// type and constructor parameters; gName and the toG map pin down the
-// (self, neighbors) the inner device was actually built with, which for
-// an installed device differ from the S-node the executor keys on.
+// type and constructor parameters; the G-identity and the renaming pin
+// down the (self, neighbors) the inner device was actually built with,
+// which for an installed device differ from the S-node the executor
+// keys on.
 func (d *renamedDevice) DeviceFingerprint() string {
 	inner := sim.FingerprintOf(d.inner)
 	if inner == "" {
 		return ""
 	}
-	pairs := make([]string, 0, len(d.toG))
-	for sNb, gNb := range d.toG {
-		pairs = append(pairs, sNb+">"+gNb)
-	}
-	sort.Strings(pairs)
-	return "renamed:" + d.gName + "[" + strings.Join(pairs, ",") + "]|" + inner
+	return d.id + "|" + inner
 }
 
 // Snapshot is the inner device's snapshot: the installed node is
@@ -149,22 +136,25 @@ func InstallCover(cover *graph.Cover, builders map[string]sim.Builder, inputs ma
 		}
 		p.Inputs[sName] = input
 
-		toG := make(map[string]string, s.Degree(sn))
-		toS := make(map[string]string, s.Degree(sn))
-		for _, nb := range s.Neighbors(sn) {
-			sNb, gNb := s.Name(nb), g.Name(cover.Phi[nb])
-			toG[sNb] = gNb
-			toS[gNb] = sNb
+		// The S-ports sort the S-neighbor names; the inner device's
+		// G-ports sort their images.
+		sNbs := s.Neighbors(sn)
+		sort.Slice(sNbs, func(i, j int) bool { return s.Name(sNbs[i]) < s.Name(sNbs[j]) })
+		images := make([]string, len(sNbs)) // by S-port
+		pairs := make([]string, len(sNbs))
+		for i, nb := range sNbs {
+			images[i] = g.Name(cover.Phi[nb])
+			pairs[i] = s.Name(nb) + ">" + images[i]
 		}
-		gNeighbors := make([]string, 0, len(toS))
-		for gNb := range toS {
-			gNeighbors = append(gNeighbors, gNb)
-		}
+		gNeighbors := append([]string(nil), images...)
 		sort.Strings(gNeighbors)
+		toG := sim.PortsOf(images, gNeighbors)
+		sort.Strings(pairs)
+		id := "renamed:" + gName + "[" + strings.Join(pairs, ",") + "]"
 		// Capture loop variables for the closure.
 		b, in, gn := builder, input, gName
 		p.Builders[sName] = func(self string, neighbors []string, _ sim.Input) sim.Device {
-			return &renamedDevice{inner: b(gn, gNeighbors, in), gName: gn, toG: toG, toS: toS}
+			return &renamedDevice{inner: b(gn, gNeighbors, in), id: id, toG: toG}
 		}
 	}
 	inputsCopy := make(map[string]sim.Input, len(p.Inputs))

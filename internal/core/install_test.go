@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"flm/internal/byzantine"
@@ -71,6 +73,71 @@ func TestInstallCoverIndistinguishability(t *testing.T) {
 		}
 		if div != 5 {
 			t.Errorf("%s diverged from %s at round %d despite uniform inputs", sName, gName, div)
+		}
+	}
+}
+
+// TestInstallCoverPermutesPorts installs port-sensitive devices on a
+// double cover of the triangle whose S-names are chosen so that at every
+// S-node the S-neighbors sort in a different order than their G-images:
+// the renamed device must permute ports, not copy them. With uniform
+// inputs S is indistinguishable from G, so every S-node must replay its
+// image's G-run snapshots, and every S-edge must carry its image edge's
+// traffic.
+func TestInstallCoverPermutesPorts(t *testing.T) {
+	tri := graph.Triangle()
+	s := graph.MustNew("z", "v", "x", "w", "y", "u") // ring order; images a b c a b c
+	for i := 0; i < 6; i++ {
+		s.MustAddEdge(i, (i+1)%6)
+	}
+	cover := &graph.Cover{S: s, G: tri, Phi: []int{0, 1, 2, 0, 1, 2}}
+	for sn := 0; sn < s.N(); sn++ {
+		var sNames []string
+		for _, nb := range s.Neighbors(sn) {
+			sNames = append(sNames, s.Name(nb))
+		}
+		sort.Strings(sNames)
+		var images []string
+		for _, name := range sNames {
+			images = append(images, tri.Name(cover.Phi[s.MustIndex(name)]))
+		}
+		if sort.StringsAreSorted(images) {
+			t.Fatalf("S-node %s: neighbors %v sort like their images %v; the cover tests no permutation", s.Name(sn), sNames, images)
+		}
+	}
+	builders := uniformBuilders(tri, newTableDevice(11, 3, true))
+	inputs := map[string]sim.Input{}
+	for _, name := range s.Names() {
+		inputs[name] = "1"
+	}
+	inst, err := InstallCover(cover, builders, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4
+	runS, err := inst.Execute(rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.NewSystem(tri, sim.Protocol{Builders: builders, Inputs: map[string]sim.Input{"a": "1", "b": "1", "c": "1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runG, err := sim.Execute(sys, rounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sn := 0; sn < s.N(); sn++ {
+		sName, gName := s.Name(sn), tri.Name(cover.Phi[sn])
+		if div, err := sim.PrefixEqual(runS, sName, runG, gName); err != nil || div != rounds {
+			t.Errorf("%s diverged from its image %s at round %d (%v)", sName, gName, div, err)
+		}
+		for _, nb := range s.Neighbors(sn) {
+			seqS, _ := runS.EdgeBehavior(sName, s.Name(nb))
+			seqG, _ := runG.EdgeBehavior(gName, tri.Name(cover.Phi[nb]))
+			if !reflect.DeepEqual(seqS, seqG) {
+				t.Errorf("edge %s->%s carried %q, its image edge %q", sName, s.Name(nb), seqS, seqG)
+			}
 		}
 	}
 }

@@ -63,13 +63,10 @@ func (d *tableDevice) hash(parts ...string) uint64 {
 }
 
 func (d *tableDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	for _, s := range senders {
-		d.transcript = append(d.transcript, fmt.Sprintf("r%d:%s:%s", round, s, inbox[s]))
+	for i, p := range inbox {
+		if p != sim.None {
+			d.transcript = append(d.transcript, fmt.Sprintf("r%d:%s:%s", round, d.nbs[i], p))
+		}
 	}
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
@@ -83,12 +80,12 @@ func (d *tableDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 			d.decision = fmt.Sprint(d.hash(d.transcript...) % 2)
 		}
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.nbs {
+	out := make(sim.Outbox, len(d.nbs))
+	for i, nb := range d.nbs {
 		if d.chatty {
-			out[nb] = sim.Payload(fmt.Sprintf("%x", d.hash(append([]string{nb}, d.transcript...)...)))
+			out[i] = sim.Payload(fmt.Sprintf("%x", d.hash(append([]string{nb}, d.transcript...)...)))
 		} else {
-			out[nb] = sim.Payload(d.input)
+			out[i] = sim.Payload(d.input)
 		}
 	}
 	return out

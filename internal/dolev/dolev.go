@@ -11,6 +11,7 @@ package dolev
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -179,22 +180,24 @@ func decodePiece(r *Router, s string) (piece, bool) {
 
 // overlayDevice runs an inner complete-graph device over Dolev routing.
 type overlayDevice struct {
-	router  *Router
-	inner   sim.Device
-	self    int
-	nbs     map[string]bool
-	outbox  []piece               // pieces to transmit next round
-	arrived map[arrivalKey]string // (origin, innerRound, pathIdx) -> payload (first copy wins)
+	router    *Router
+	inner     sim.Device
+	self      int
+	peerNodes []int                 // inner port -> node: every other node, in name order
+	portNode  []int                 // port -> node; -1 for a neighbor outside the router's graph
+	nodePort  []int                 // node -> port; -1 for non-neighbors
+	outbox    []piece               // pieces to transmit next round
+	arrived   map[arrivalKey]string // (origin, innerRound, pathIdx) -> payload (first copy wins)
 
 	// Reusable per-step scratch. The overlay steps every simulator round
 	// for every node, so transient maps and slices here would otherwise
 	// dominate the sweep allocator profile.
-	senders    []string            // sorted inbox senders (ingest)
-	innerInbox sim.Inbox           // decoded majority inbox (stepInner)
-	tallyVals  []string            // distinct copies seen on the paths (stepInner)
-	tallyCnts  []int               // matching counts (stepInner)
-	byNeighbor map[string][]string // encoded fragments per next hop (flush)
-	encBuf     []byte              // piece wire-encoding buffer (flush)
+	innerInbox sim.Inbox  // decoded majority inbox, by inner port (stepInner)
+	tallyVals  []string   // distinct copies seen on the paths (stepInner)
+	tallyCnts  []int      // matching counts (stepInner)
+	frags      [][]string // encoded fragments per port (flush)
+	encBuf     []byte     // piece wire-encoding buffer (flush)
+	out        sim.Outbox // (flush)
 }
 
 type arrivalKey struct {
@@ -208,23 +211,45 @@ var _ sim.Device = (*overlayDevice)(nil)
 // it sits on the complete graph over all node names; each of its rounds
 // occupies StretchFactor() simulator rounds.
 func Overlay(router *Router, inner sim.Builder) sim.Builder {
+	g := router.g
+	byName := make([]int, g.N())
+	for v := range byName {
+		byName[v] = v
+	}
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(g.Name(a), g.Name(b)) })
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
-		u := router.g.MustIndex(self)
-		peers := make([]string, 0, router.g.N()-1)
-		for _, name := range router.g.Names() {
-			if name != self {
-				peers = append(peers, name)
+		u := g.MustIndex(self)
+		peerNodes := make([]int, 0, g.N()-1)
+		peers := make([]string, 0, g.N()-1)
+		for _, v := range byName {
+			if v != u {
+				peerNodes = append(peerNodes, v)
+				peers = append(peers, g.Name(v))
 			}
 		}
+		nbs := append([]string(nil), neighbors...)
+		slices.Sort(nbs)
 		d := &overlayDevice{
-			router:  router,
-			inner:   inner(self, peers, input),
-			self:    u,
-			nbs:     make(map[string]bool, len(neighbors)),
-			arrived: make(map[arrivalKey]string),
+			router:    router,
+			inner:     inner(self, peers, input),
+			self:      u,
+			peerNodes: peerNodes,
+			portNode:  make([]int, len(nbs)),
+			nodePort:  make([]int, g.N()),
+			arrived:   make(map[arrivalKey]string),
+			frags:     make([][]string, len(nbs)),
 		}
-		for _, nb := range neighbors {
-			d.nbs[nb] = true
+		for v := range d.nodePort {
+			d.nodePort[v] = -1
+		}
+		for i, nb := range nbs {
+			v, ok := g.Index(nb)
+			if !ok {
+				v = -1
+			} else {
+				d.nodePort[v] = i
+			}
+			d.portNode[i] = v
 		}
 		return d
 	}
@@ -247,18 +272,12 @@ func (d *overlayDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 // ingest validates and routes incoming pieces: recording copies addressed
 // to us, forwarding the rest one hop.
 func (d *overlayDevice) ingest(inbox sim.Inbox) {
-	senders := d.senders[:0]
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
-	d.senders = senders
-	for _, from := range senders {
-		fromIdx, ok := d.router.g.Index(from)
-		if !ok {
+	for port, payload := range inbox {
+		fromIdx := d.portNode[port]
+		if fromIdx < 0 || payload == sim.None {
 			continue
 		}
-		rest := string(inbox[from])
+		rest := string(payload)
 		for more := true; more; {
 			var frag string
 			frag, rest, more = strings.Cut(rest, "&")
@@ -293,15 +312,11 @@ func (d *overlayDevice) ingest(inbox sim.Inbox) {
 // the inner device's new messages along all disjoint paths.
 func (d *overlayDevice) stepInner(innerRound int) {
 	if d.innerInbox == nil {
-		d.innerInbox = sim.Inbox{}
+		d.innerInbox = make(sim.Inbox, len(d.peerNodes))
 	}
 	clear(d.innerInbox)
-	innerInbox := d.innerInbox
 	if innerRound > 0 {
-		for origin := 0; origin < d.router.g.N(); origin++ {
-			if origin == d.self {
-				continue
-			}
+		for port, origin := range d.peerNodes {
 			// Tally the ≤ 2f+1 path copies in small parallel slices; a map
 			// plus a sorted key slice per origin per round is allocator
 			// noise for a population this size. Ties break toward the
@@ -336,54 +351,55 @@ func (d *overlayDevice) stepInner(innerRound int) {
 			if bestN >= d.router.f+1 {
 				decoded, err := hex.DecodeString(best)
 				if err == nil && len(decoded) > 0 {
-					innerInbox[d.router.g.Name(origin)] = sim.Payload(decoded)
+					d.innerInbox[port] = sim.Payload(decoded)
 				}
 			}
 		}
 	}
-	out := d.inner.Step(innerRound, innerInbox)
-	for to, payload := range out {
-		dest, ok := d.router.g.Index(to)
-		if !ok || payload == sim.None {
+	out := d.inner.Step(innerRound, d.innerInbox)
+	for port, payload := range out {
+		if payload == sim.None {
 			continue
 		}
 		encoded := hex.EncodeToString([]byte(payload))
 		for idx := 0; idx < d.router.NumPaths(); idx++ {
-			//flmlint:allow flmdeterminism flush sorts each neighbor's fragments before emission
 			d.outbox = append(d.outbox, piece{
-				origin: d.self, dest: dest, pathIdx: idx, hop: 1,
+				origin: d.self, dest: d.peerNodes[port], pathIdx: idx, hop: 1,
 				innerRound: innerRound, payload: encoded,
 			})
 		}
 	}
 }
 
-// flush groups queued pieces by next-hop neighbor into one payload each.
+// flush groups queued pieces by next-hop port into one payload each.
 func (d *overlayDevice) flush() sim.Outbox {
-	if d.byNeighbor == nil {
-		d.byNeighbor = map[string][]string{}
+	if len(d.outbox) == 0 {
+		return nil
 	}
-	byNeighbor := d.byNeighbor
 	for _, pc := range d.outbox {
 		path := d.router.Path(pc.origin, pc.dest, pc.pathIdx)
-		nextNode := d.router.g.Name(path[pc.hop])
-		if !d.nbs[nextNode] {
+		port := d.nodePort[path[pc.hop]]
+		if port < 0 {
 			continue // cannot happen with consistent tables
 		}
 		d.encBuf = pc.appendEncode(d.encBuf[:0], d.router)
-		byNeighbor[nextNode] = append(byNeighbor[nextNode], string(d.encBuf))
+		d.frags[port] = append(d.frags[port], string(d.encBuf))
 	}
 	d.outbox = d.outbox[:0]
-	out := sim.Outbox{}
-	for nb, frags := range byNeighbor {
-		if len(frags) == 0 {
-			continue // reset key from an earlier flush; nothing queued now
-		}
-		sort.Strings(frags)
-		out[nb] = sim.Payload(strings.Join(frags, "&"))
-		byNeighbor[nb] = frags[:0]
+	if d.out == nil {
+		d.out = make(sim.Outbox, len(d.frags))
 	}
-	return out
+	for port, frags := range d.frags {
+		d.out[port] = sim.None
+		if len(frags) == 0 {
+			continue
+		}
+		// Pieces queue in arrival order; sorting fixes the payload bytes.
+		sort.Strings(frags)
+		d.out[port] = sim.Payload(strings.Join(frags, "&"))
+		d.frags[port] = frags[:0]
+	}
+	return d.out
 }
 
 func (d *overlayDevice) Snapshot() string {

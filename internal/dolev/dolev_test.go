@@ -204,12 +204,13 @@ func TestIngestRejectsWrongHop(t *testing.T) {
 		t.Fatalf("expected direct path, got %v", path)
 	}
 	forged := piece{origin: 0, dest: 2, pathIdx: 0, hop: 1, innerRound: 0, payload: "ab"}
-	d.ingest(sim.Inbox{"p1": sim.Payload(forged.encode(r))})
+	// p2's ports are p0, p1, p3.
+	d.ingest(sim.Inbox{sim.None, sim.Payload(forged.encode(r)), sim.None})
 	if len(d.arrived) != 0 {
 		t.Error("forged piece accepted from wrong sender")
 	}
 	// The same piece from the true sender is accepted.
-	d.ingest(sim.Inbox{"p0": sim.Payload(forged.encode(r))})
+	d.ingest(sim.Inbox{sim.Payload(forged.encode(r)), sim.None, sim.None})
 	if len(d.arrived) != 1 {
 		t.Error("authentic piece rejected")
 	}

@@ -81,11 +81,7 @@ func (d *viaBA) Step(round int, inbox sim.Inbox) sim.Outbox {
 	switch {
 	case round == 0:
 		// Broadcast the stimulus bit.
-		out := sim.Outbox{}
-		for _, nb := range d.neighbors {
-			out[nb] = sim.Payload(sim.EncodeBool(d.stimulus))
-		}
-		return out
+		return sim.Broadcast(nil, len(d.neighbors), sim.Payload(sim.EncodeBool(d.stimulus)))
 	case round == 1:
 		// Determine the BA input: stimulus here or a claim from anyone.
 		d.heard = d.stimulus
@@ -95,7 +91,7 @@ func (d *viaBA) Step(round int, inbox sim.Inbox) sim.Outbox {
 			}
 		}
 		d.inner = byzantine.NewEIG(d.f, d.peers)(d.self, d.neighbors, sim.BoolInput(d.heard))
-		return d.inner.Step(0, sim.Inbox{})
+		return d.inner.Step(0, nil)
 	default:
 		out := d.inner.Step(round-1, inbox)
 		if dec, ok := d.inner.Output(); ok && dec.Value == "1" && round >= FireTime(d.f) {
@@ -134,6 +130,7 @@ type countdown struct {
 	fuse      int
 	origin    int // earliest claimed stimulus round; -1 if none heard
 	fired     bool
+	out       sim.Outbox
 }
 
 var _ sim.Device = (*countdown)(nil)
@@ -180,11 +177,8 @@ func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if d.origin < 0 {
 		return nil
 	}
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = sim.Payload(fmt.Sprintf("S%d", d.origin))
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.neighbors), sim.Payload(fmt.Sprintf("S%d", d.origin)))
+	return d.out
 }
 
 func (d *countdown) Snapshot() string {

@@ -84,6 +84,7 @@ type device struct {
 
 	decided  bool
 	decision string
+	out      sim.Outbox
 }
 
 var _ sim.Device = (*device)(nil)
@@ -120,11 +121,13 @@ func (d *device) Init(self string, neighbors []string, input sim.Input) {
 func (d *device) n() int { return len(d.neighbors) + 1 }
 
 func (d *device) Step(round int, inbox sim.Inbox) sim.Outbox {
-	// Merge incoming knowledge. Senders are visited in sorted order so
-	// the arrival bookkeeping never observes map iteration order.
+	// Merge incoming knowledge, senders in port (name) order.
 	var newIDs []string
-	for _, from := range sortedKeys(inbox) {
-		for _, rec := range strings.Split(string(inbox[from]), ";") {
+	for _, p := range inbox {
+		if p == sim.None {
+			continue
+		}
+		for _, rec := range strings.Split(string(p), ";") {
 			id, fresh := d.merge(rec)
 			if fresh {
 				newIDs = append(newIDs, id)
@@ -151,12 +154,8 @@ func (d *device) Step(round int, inbox sim.Inbox) sim.Outbox {
 		return nil
 	}
 	d.changed = false
-	msg := sim.Payload(d.encodeKnowledge())
-	out := make(sim.Outbox, len(d.neighbors))
-	for _, nb := range d.neighbors {
-		out[nb] = msg
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.neighbors), sim.Payload(d.encodeKnowledge()))
+	return d.out
 }
 
 // merge folds one encoded record into the knowledge sets, reporting the
@@ -418,15 +417,6 @@ func unquote(q string) string {
 		return q
 	}
 	return s
-}
-
-func sortedKeys(m sim.Inbox) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func sortedKeysOf[V any](m map[string]V) []string {

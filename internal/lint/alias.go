@@ -7,11 +7,11 @@ import (
 
 // Alias mechanizes the executor-ownership contract on device hot paths:
 //
-//   - sim.Device.Step(round, inbox): the inbox map is owned by the
-//     executor and reused between rounds (PR 1's mailbox buffers);
+//   - sim.Device.Step(round, inbox): the inbox slice is the device's
+//     window into the executor's mailbox ring, which later rounds' mail
+//     overwrites;
 //   - timedsim.Device.Tick(k, hw, inbox): the inbox slice is reused
-//     between ticks and hw is an arena/scratch *big.Rat register
-//     (PR 5's contract tightening).
+//     between ticks and hw is an arena/scratch *big.Rat register.
 //
 // A device that stores one of these — directly, via a sub-slice, via a
 // pointer to an element, or through a local alias — into a struct field
@@ -50,7 +50,7 @@ func runAlias(pass *Pass) {
 // Tick method. Matching is structural, not interface-based, so wrapper
 // devices and future device families are covered automatically:
 //
-//	Step: any map-typed parameter (the inbox);
+//	Step: any slice-typed parameter (the inbox window);
 //	Tick: any slice-typed parameter (the inbox) and any pointer-typed
 //	      parameter (the hw scratch register).
 func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
@@ -65,12 +65,8 @@ func ownedParams(pass *Pass, fd *ast.FuncDecl) map[types.Object]string {
 				continue
 			}
 			switch obj.Type().Underlying().(type) {
-			case *types.Map:
-				owned[obj] = "inbox map"
 			case *types.Slice:
-				if fd.Name.Name == "Tick" {
-					owned[obj] = "inbox slice"
-				}
+				owned[obj] = "inbox slice"
 			case *types.Pointer:
 				if fd.Name.Name == "Tick" {
 					owned[obj] = "scratch register"

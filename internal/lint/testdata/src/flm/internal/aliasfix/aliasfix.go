@@ -12,22 +12,23 @@ type Message struct {
 
 type Send struct{ To, Payload string }
 
-var sink map[string]string
+var sink []string
 
 type keeper struct {
-	saved map[string]string
-	names []string
+	saved []string
+	heard []string
 }
 
-func (k *keeper) Step(round int, inbox map[string]string) map[string]string {
-	k.saved = inbox // want `keeper\.Step retains the executor-owned inbox map`
-	sink = inbox    // want `keeper\.Step retains the executor-owned inbox map`
+func (k *keeper) Step(round int, inbox []string) []string {
+	k.saved = inbox  // want `keeper\.Step retains the executor-owned inbox slice`
+	sink = inbox[1:] // want `keeper\.Step retains the executor-owned inbox slice`
 	tmp := inbox
-	k.saved = tmp // want `inbox map \(via local alias\)`
-	for from := range inbox {
-		k.names = append(k.names, from) // append copies the string: ok
+	k.saved = tmp // want `inbox slice \(via local alias\)`
+	for _, p := range inbox {
+		k.heard = append(k.heard, p) // append copies the string: ok
 	}
-	v := inbox["a"] // a string value cannot alias the map: ok
+	k.heard = append(k.heard[:0], inbox...) // so does appending the slice
+	v := inbox[0]                           // a string value cannot alias the slice: ok
 	_ = v
 	return nil
 }

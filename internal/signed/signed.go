@@ -174,14 +174,12 @@ func (d *dsDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	}
 	// Absorb arrivals: a chain is accepted at round r only with at least
 	// r signatures (the Dolev-Strong timing rule) and at most f+1.
-	senders := make([]string, 0, len(inbox))
-	for s := range inbox {
-		senders = append(senders, s)
-	}
-	sort.Strings(senders)
 	var fresh []chain
-	for _, from := range senders {
-		for _, frag := range strings.Split(string(inbox[from]), "&") {
+	for _, p := range inbox {
+		if p == sim.None {
+			continue
+		}
+		for _, frag := range strings.Split(string(p), "&") {
 			c, ok := decodeChain(d.reg, frag)
 			if !ok || len(c.signers) < round || len(c.signers) > d.f+1 {
 				continue
@@ -225,12 +223,7 @@ func (d *dsDevice) broadcastChains(chains []chain) sim.Outbox {
 		frags[i] = c.encode()
 	}
 	sort.Strings(frags)
-	payload := sim.Payload(strings.Join(frags, "&"))
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = payload
-	}
-	return out
+	return sim.Broadcast(nil, len(d.neighbors), sim.Payload(strings.Join(frags, "&")))
 }
 
 // decide resolves each instance (exactly one extracted value, else the

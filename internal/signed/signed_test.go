@@ -280,11 +280,7 @@ func (d *lateSigner) Step(round int, inbox sim.Inbox) sim.Outbox {
 		return nil
 	}
 	c := chain{sender: d.self, value: "1"}.extend(d.reg, d.self)
-	out := sim.Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = sim.Payload(c.encode())
-	}
-	return out
+	return sim.Broadcast(nil, len(d.neighbors), sim.Payload(c.encode()))
 }
 
 func (d *lateSigner) Snapshot() string             { return "late" }

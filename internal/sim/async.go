@@ -1,6 +1,12 @@
 package sim
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+	"slices"
+	"strings"
+
+	"flm/internal/graph"
+)
 
 // Adversarial asynchrony. The base model is synchronous: a message sent
 // in round r is delivered in round r+1. A DelaySchedule weakens that
@@ -47,32 +53,38 @@ type DelaySchedule struct {
 	Rules []DelayRule
 }
 
-// delayKey indexes the compiled rule table by message coordinates.
-type delayKey struct {
-	from, to string
-	round    int
+// delaySlot addresses one message of a compiled schedule: the
+// executor's outedge slot it leaves on and its send round.
+type delaySlot struct {
+	edge, round int
 }
 
-// compile resolves the rule list into a lookup table plus the largest
-// extra delay (the executor's ring-buffer window). Inert rules are
-// dropped.
-func (s *DelaySchedule) compile() (map[delayKey]int, int) {
-	if s == nil || len(s.Rules) == 0 {
+// compile resolves the rule list against the executor's port tables
+// (ports[u] lists u's neighbors in port order, and u's outedges are the
+// slots off[u]..off[u+1]-1) into a lookup table plus the largest extra
+// delay (the executor's ring-buffer window). Inert rules are dropped, and
+// so are rules naming no edge of g, which no send can match.
+func (s *DelaySchedule) compile(g *graph.Graph, ports [][]int, off []int) (map[delaySlot]int, int) {
+	if s.Empty() {
 		return nil, 0
 	}
-	table := make(map[delayKey]int, len(s.Rules))
+	table := make(map[delaySlot]int, len(s.Rules))
 	maxExtra := 0
 	for _, r := range s.Rules {
 		if r.Extra <= 0 {
 			continue
 		}
-		table[delayKey{r.From, r.To, r.Round}] = r.Extra
-		if r.Extra > maxExtra {
-			maxExtra = r.Extra
+		maxExtra = max(maxExtra, r.Extra)
+		u, ok := g.Index(r.From)
+		if !ok {
+			continue
 		}
-	}
-	if len(table) == 0 {
-		return nil, 0
+		i, found := slices.BinarySearchFunc(ports[u], r.To, func(v int, to string) int {
+			return strings.Compare(g.Name(v), to)
+		})
+		if found {
+			table[delaySlot{edge: off[u] + i, round: r.Round}] = r.Extra
+		}
 	}
 	return table, maxExtra
 }

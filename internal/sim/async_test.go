@@ -85,20 +85,19 @@ func TestDelayPastHorizonIsLoss(t *testing.T) {
 // payload it has ever received from its single neighbor, in arrival
 // order. It never decides.
 type collisionDevice struct {
-	self, peer string
-	got        []Payload
+	self string
+	got  []Payload
 }
 
 func (d *collisionDevice) Init(self string, neighbors []string, _ Input) {
 	d.self = self
-	d.peer = neighbors[0]
 }
 
 func (d *collisionDevice) Step(round int, inbox Inbox) Outbox {
-	if p, ok := inbox[d.peer]; ok {
-		d.got = append(d.got, p)
+	if len(inbox) > 0 && inbox[0] != None {
+		d.got = append(d.got, inbox[0])
 	}
-	return Outbox{d.peer: Payload(d.self + EncodeInt(round))}
+	return Outbox{Payload(d.self + EncodeInt(round))}
 }
 
 func (d *collisionDevice) Snapshot() string {

@@ -25,9 +25,9 @@ func (d *countingDevice) Init(self string, neighbors []string, input Input) {
 
 func (d *countingDevice) Step(round int, inbox Inbox) Outbox {
 	d.steps.Add(1)
-	out := Outbox{}
-	for _, nb := range d.nbs {
-		out[nb] = Payload(d.tag)
+	out := make(Outbox, len(d.nbs))
+	for i := range out {
+		out[i] = Payload(d.tag)
 	}
 	return out
 }

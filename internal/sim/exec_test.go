@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -167,19 +168,25 @@ func TestPartialRunOnDecisionError(t *testing.T) {
 	}
 }
 
-// TestPartialRunOnBadSend: the non-neighbor-send error also finishes the
-// round before returning, and no payload from the offending outbox is
-// delivered (all-or-nothing, so the partial state is deterministic).
+// TestPartialRunOnBadSend: an outbox whose length is not the node's
+// degree is an *ExecError naming the node and round; the error also
+// finishes the round before returning, and no payload from the offending
+// outbox is delivered or recorded (all-or-nothing, so the partial state
+// is deterministic).
 func TestPartialRunOnBadSend(t *testing.T) {
 	g := graph.Line(3)
 	sys, err := NewSystem(g, gossipProtocol(g, 1, uniformInputs(g, "0")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Devices[0] = rawSender{to: "l2"} // l2 is not a neighbor of l0
+	sys.Devices[0] = rawSender{ports: 2} // l0 has one port; the second would reach l2
 	run, err := Execute(sys, 2)
-	if err == nil {
-		t.Fatal("send to non-neighbor accepted")
+	var ee *ExecError
+	if !errors.As(err, &ee) {
+		t.Fatalf("got %v, want an *ExecError for the wrong-length outbox", err)
+	}
+	if ee.Node != "l0" || ee.Round != 0 {
+		t.Errorf("error attributed to %s/%d, want l0/0", ee.Node, ee.Round)
 	}
 	if run == nil {
 		t.Fatal("no partial run returned alongside the error")
@@ -188,6 +195,9 @@ func TestPartialRunOnBadSend(t *testing.T) {
 		if run.Snapshots[u][0] == "" {
 			t.Errorf("node %s round 0 snapshot missing from partial run", g.Name(u))
 		}
+	}
+	if seq, _ := run.EdgeBehavior("l0", "l1"); seq[0] != None {
+		t.Errorf("edge l0->l1 recorded %q from the rejected outbox", seq[0])
 	}
 }
 
@@ -199,8 +209,111 @@ func TestExecuteWithNoEdgesStillValidatesSends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Devices[0] = rawSender{to: "l2"}
+	sys.Devices[0] = rawSender{ports: 2}
 	if _, err := ExecuteWith(sys, 2, ExecuteOpts{}); err == nil {
-		t.Error("fast mode accepted a send to a non-neighbor")
+		t.Error("fast mode accepted a wrong-length outbox")
+	}
+}
+
+// portProbe sends "self>neighbor" on every port in round 0 only, and
+// logs every non-empty inbox slot as "round/port=payload".
+type portProbe struct {
+	self string
+	nbs  []string
+	log  []string
+}
+
+func (d *portProbe) Init(self string, neighbors []string, _ Input) {
+	d.self, d.nbs = self, append([]string(nil), neighbors...)
+}
+
+func (d *portProbe) Step(round int, inbox Inbox) Outbox {
+	if len(inbox) != len(d.nbs) {
+		d.log = append(d.log, fmt.Sprintf("%d/inbox has %d ports", round, len(inbox)))
+	}
+	for i, p := range inbox {
+		if p != None {
+			d.log = append(d.log, fmt.Sprintf("%d/%d=%s", round, i, p))
+		}
+	}
+	if round > 0 {
+		return nil
+	}
+	out := make(Outbox, len(d.nbs))
+	for i, nb := range d.nbs {
+		out[i] = Payload(d.self + ">" + nb)
+	}
+	return out
+}
+
+func (d *portProbe) Snapshot() string         { return "probe" }
+func (d *portProbe) Output() (Decision, bool) { return Decision{}, false }
+
+// TestPortContract pins what a port is on a graph whose index order (p2,
+// p10, p1) differs from its name order (p1, p10, p2): the builder gets
+// its neighbors sorted by name, inbox port i carries the payload of the
+// i-th of them, and out[i] is recorded on the edge to, and delivered
+// to, that neighbor — synchronously and under a delay schedule.
+func TestPortContract(t *testing.T) {
+	g := graph.MustNew("p2", "p10", "p1")
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(0, 2)
+	g.MustAddEdge(1, 2)
+	delayed := &DelaySchedule{Rules: []DelayRule{
+		{From: "p10", To: "p2", Round: 0, Extra: 2},
+		{From: "p1", To: "p10", Round: 0, Extra: 1},
+	}}
+	extra := func(s *DelaySchedule, from, to string) int {
+		if s == nil {
+			return 0
+		}
+		for _, r := range s.Rules {
+			if r.From == from && r.To == to && r.Round == 0 {
+				return r.Extra
+			}
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		name   string
+		delays *DelaySchedule
+	}{{"sync", nil}, {"delayed", delayed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			probes := map[string]*portProbe{}
+			p := Protocol{Builders: map[string]Builder{}, Inputs: uniformInputs(g, "0")}
+			for _, name := range g.Names() {
+				p.Builders[name] = func(self string, neighbors []string, input Input) Device {
+					d := &portProbe{}
+					d.Init(self, neighbors, input)
+					probes[self] = d
+					return d
+				}
+			}
+			sys, err := NewSystem(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := ExecuteWith(sys, 4, ExecuteOpts{RecordEdges: true, Delays: tc.delays})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range g.Names() {
+				d := probes[name]
+				if !sort.StringsAreSorted(d.nbs) {
+					t.Errorf("%s: builder got neighbors %v, not sorted by name", name, d.nbs)
+				}
+				var want []string
+				for i, nb := range d.nbs {
+					want = append(want, fmt.Sprintf("%d/%d=%s>%s", 1+extra(tc.delays, nb, name), i, nb, name))
+					if seq, err := run.EdgeBehavior(name, nb); err != nil || seq[0] != Payload(name+">"+nb) {
+						t.Errorf("%s: out[%d] recorded on edge %s->%s as %q (%v)", name, i, name, nb, seq, err)
+					}
+				}
+				sort.Strings(want)
+				if got := strings.Join(d.log, " "); got != strings.Join(want, " ") {
+					t.Errorf("%s (ports %v) received %q, want %q", name, d.nbs, got, strings.Join(want, " "))
+				}
+			}
+		})
 	}
 }

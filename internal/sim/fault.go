@@ -46,10 +46,11 @@ func (f *DeviceFault) Error() string {
 }
 
 // ExecError is a typed execution failure detected by the executor itself:
-// a protocol-rule violation (send to a non-neighbor, a changed decision),
-// a device fault, or a cancelled context. Node and Round locate the
-// failure; both are best-effort ("" / -1 when the failure is not
-// attributable to a single node, e.g. cancellation between rounds).
+// a protocol-rule violation (an outbox whose length is not the node's
+// degree, a changed decision), a device fault, or a cancelled context.
+// Node and Round locate the failure; both are best-effort ("" / -1 when
+// the failure is not attributable to a single node, e.g. cancellation
+// between rounds).
 //
 // MustExecute panics with an *ExecError, so recovery layers can
 // distinguish engine-reported failures (errors.As yields *ExecError)

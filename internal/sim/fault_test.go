@@ -147,7 +147,7 @@ func TestMustExecutePanicsTyped(t *testing.T) {
 		message string
 	}{
 		{name: "device fault", sys: faultSystem(t, "b", OpStep, 0), node: "b", round: 0, device: true},
-		{name: "rule violation", sys: badSendSystem(t), node: "a", round: 0, message: "non-neighbor"},
+		{name: "rule violation", sys: badSendSystem(t), node: "a", round: 0, message: "outbox of length 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -176,7 +176,8 @@ func TestMustExecutePanicsTyped(t *testing.T) {
 	}
 }
 
-// badSendSystem has node a addressing a non-neighbor in round 0.
+// badSendSystem has node a return an outbox one entry longer than its
+// degree in round 0.
 func badSendSystem(t *testing.T) *System {
 	t.Helper()
 	g := graph.Triangle()
@@ -202,8 +203,12 @@ func badSendSystem(t *testing.T) *System {
 type badSender struct{}
 
 func (d *badSender) Init(self string, neighbors []string, input Input) {}
+
+// Step returns one outbox entry more than the device has ports.
 func (d *badSender) Step(round int, inbox Inbox) Outbox {
-	return Outbox{"zebra": "hi"}
+	out := make(Outbox, len(inbox)+1)
+	out[0] = "hi"
+	return out
 }
 func (d *badSender) Snapshot() string         { return "badsender" }
 func (d *badSender) Output() (Decision, bool) { return Decision{}, false }

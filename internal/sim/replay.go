@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -14,7 +15,8 @@ import (
 // nodes.
 type ReplayDevice struct {
 	self    string
-	scripts map[string][]Payload // per-neighbor payload sequence
+	scripts map[string][]Payload // per-neighbor payload sequence, by name
+	ports   [][]Payload          // the same scripts by port; nil for a silent port
 	round   int
 	out     Outbox // reused across Steps; see the Device Outbox contract
 }
@@ -49,13 +51,15 @@ func ReplayBuilder(scripts map[string][]Payload) Builder {
 	}
 }
 
-// Init records the node identity. Scripts addressed to non-neighbors are
-// dropped, mirroring how a faulty node can only exhibit behavior on its
-// actual outedges.
+// Init records the node identity and lays the scripts out by port.
+// Scripts addressed to non-neighbors are dropped, mirroring how a faulty
+// node can only exhibit behavior on its actual outedges.
 func (d *ReplayDevice) Init(self string, neighbors []string, input Input) {
 	d.self = self
-	allowed := make(map[string]bool, len(neighbors))
-	for _, nb := range neighbors {
+	nbs := append([]string(nil), neighbors...)
+	slices.Sort(nbs)
+	allowed := make(map[string]bool, len(nbs))
+	for _, nb := range nbs {
 		allowed[nb] = true
 	}
 	for nb := range d.scripts {
@@ -63,21 +67,30 @@ func (d *ReplayDevice) Init(self string, neighbors []string, input Input) {
 			delete(d.scripts, nb)
 		}
 	}
+	d.ports, d.out = nil, nil
+	if len(d.scripts) > 0 {
+		d.ports = make([][]Payload, len(nbs))
+		for i, nb := range nbs {
+			d.ports[i] = d.scripts[nb]
+		}
+	}
 }
 
 // Step plays round r of every script, ignoring the inbox entirely.
 func (d *ReplayDevice) Step(round int, inbox Inbox) Outbox {
-	if d.out == nil {
-		d.out = make(Outbox, len(d.scripts))
-	} else {
-		clear(d.out)
+	d.round = round + 1
+	if d.ports == nil {
+		return nil
 	}
-	for nb, seq := range d.scripts {
-		if round < len(seq) && seq[round] != None {
-			d.out[nb] = seq[round]
+	if d.out == nil {
+		d.out = make(Outbox, len(d.ports))
+	}
+	for i, seq := range d.ports {
+		d.out[i] = None
+		if round < len(seq) {
+			d.out[i] = seq[round]
 		}
 	}
-	d.round = round + 1
 	return d.out
 }
 

@@ -67,12 +67,9 @@ func TestReplayScriptsNotAliased(t *testing.T) {
 		o1 := d1.Step(r, nil)
 		// The Outbox is a reused buffer (Device contract), so compare
 		// before stepping the second device via a copy.
-		got := make(map[string]Payload, len(o1))
-		for k, v := range o1 {
-			got[k] = v
-		}
+		got := append(Outbox(nil), o1...)
 		o2 := d2.Step(r, nil)
-		if !reflect.DeepEqual(got, map[string]Payload(o2)) {
+		if !reflect.DeepEqual(got, o2) {
 			t.Fatalf("round %d: sibling replay devices diverged: %v vs %v", r, got, o2)
 		}
 	}

@@ -2,8 +2,8 @@
 // the FLM85 reproduction runs. It makes the paper's abstract notions
 // concrete:
 //
-//   - a Device is a deterministic round-based automaton addressed by
-//     neighbor names;
+//   - a Device is a deterministic round-based automaton that reads and
+//     writes one payload per port (incident edge) each round;
 //   - a node behavior is the sequence of device state snapshots;
 //   - an edge behavior is the sequence of payloads carried by a directed
 //     edge, one per round;
@@ -21,7 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"flm/internal/graph"
@@ -48,13 +48,18 @@ type Decision struct {
 	Round int    // round at which the choice was made
 }
 
-// Inbox maps a neighbor name to the payload received from it this round.
-// Neighbors that sent nothing are absent.
-type Inbox map[string]Payload
+// Inbox is one round's mail, indexed by port: Inbox[i] is the payload
+// received from port i, and None where that neighbor sent nothing. Port
+// i is the i-th name of the sorted neighbor list the device's Builder
+// receives, so a device addresses its neighbors by position, never by
+// name lookup.
+type Inbox []Payload
 
-// Outbox maps a neighbor name to the payload to send this round. Only
-// actual neighbors may be addressed; other keys are an execution error.
-type Outbox map[string]Payload
+// Outbox is one round's sends, indexed by port like Inbox: Outbox[i]
+// goes to port i, and None sends nothing there. A device returns nil to
+// send nothing at all; a non-nil Outbox must have exactly one entry per
+// port, and any other length is an execution error.
+type Outbox []Payload
 
 // Device is a deterministic consensus device. The executor drives it
 // with:
@@ -64,12 +69,18 @@ type Outbox map[string]Payload
 //	    out := Step(r, inbox)           // inbox from round r-1 sends
 //	}
 //
-// The Inbox passed to Step is owned by the executor and reused between
-// rounds; devices must read what they need during Step and must not
-// retain the map itself. Symmetrically, the Outbox returned by Step is
-// owned by the device and may be a buffer it reuses on the next Step:
-// callers (the executor included) must consume it before stepping the
-// device again and must never retain it across rounds.
+// neighbors is sorted by name, and its order defines the device's
+// ports: Step's inbox and outbox both index position i as the i-th
+// name. A device built from an unsorted list (a direct Builder call)
+// must sort it to find its ports.
+//
+// The Inbox passed to Step is owned by the executor: it is the device's
+// window into the executor's mailbox ring, which later rounds' mail
+// overwrites. Devices must read what they need during Step and must
+// neither retain nor write the slice. Symmetrically, the Outbox returned
+// by Step is owned by the device and may be a buffer it reuses on the
+// next Step: callers (the executor included) must consume it before
+// stepping the device again and must never retain it across rounds.
 //
 // Snapshot must canonically encode the full device state so that two
 // devices are behaving identically iff their snapshot sequences are
@@ -94,6 +105,34 @@ type Device interface {
 // node of the fiber, which is exactly the paper's "assign devices to
 // nodes of S according to their corresponding node in G".
 type Builder func(self string, neighbors []string, input Input) Device
+
+// Broadcast returns an outbox carrying p on each of the given number of
+// ports, reusing buf when it already has that length, so a device can
+// keep the result as its outbox buffer (see the Device Outbox contract).
+func Broadcast(buf Outbox, ports int, p Payload) Outbox {
+	if len(buf) != ports {
+		buf = make(Outbox, ports)
+	}
+	for i := range buf {
+		buf[i] = p
+	}
+	return buf
+}
+
+// PortsOf returns the port of each name, its index in the sorted
+// neighbor list, or -1 for a name that is not a neighbor. Devices resolve
+// their peers to ports once, at Init, instead of per message.
+func PortsOf(names, neighbors []string) []int {
+	ports := make([]int, len(names))
+	for i, name := range names {
+		j, ok := slices.BinarySearch(neighbors, name)
+		if !ok {
+			j = -1
+		}
+		ports[i] = j
+	}
+	return ports
+}
 
 // Protocol assigns a device builder and an input to every node of a
 // graph.
@@ -139,13 +178,20 @@ func NewSystem(g *graph.Graph, p Protocol) (*System, error) {
 }
 
 func neighborNames(g *graph.Graph, u int) []string {
-	nbs := g.Neighbors(u)
-	names := make([]string, len(nbs))
-	for i, v := range nbs {
+	ports := portOrder(g, u)
+	names := make([]string, len(ports))
+	for i, v := range ports {
 		names[i] = g.Name(v)
 	}
-	sort.Strings(names)
 	return names
+}
+
+// portOrder returns u's neighbor indices sorted by name: entry i is the
+// node behind u's port i.
+func portOrder(g *graph.Graph, u int) []int {
+	nbs := g.Neighbors(u)
+	slices.SortFunc(nbs, func(a, b int) int { return strings.Compare(g.Name(a), g.Name(b)) })
+	return nbs
 }
 
 // Run is a recorded system behavior: every node behavior (snapshot
@@ -196,23 +242,14 @@ type ExecuteOpts struct {
 // mode required wherever runs feed the Locality/Fault axiom machinery.
 var FullRecording = ExecuteOpts{RecordSnapshots: true, RecordEdges: true}
 
-// sendTarget is a precomputed delivery route: the receiver's node index,
-// the sender's slot in the receiver's mailbox, and (in full recording
-// mode) the edge-behavior sequence to append to.
-type sendTarget struct {
-	v    int
-	slot int
-	seq  []Payload
-}
-
 // Execute runs the system for the given number of rounds and records the
 // complete behavior. Messages sent in round r are delivered in round r+1;
 // the inbox of round 0 is empty.
 //
-// On an execution error (a send to a non-neighbor or a changed decision),
-// Execute finishes recording the failing round for every node and returns
-// the partial Run alongside the error, so the state that produced the
-// error is diagnosable. The partial Run must not be treated as a system
+// On an execution error (an outbox of the wrong length or a changed
+// decision), Execute finishes recording the failing round for every node
+// and returns the partial Run alongside the error, so the state that
+// produced the error is diagnosable. The partial Run must not be treated as a system
 // behavior — the error is authoritative.
 func Execute(sys *System, rounds int) (*Run, error) {
 	return ExecuteWith(sys, rounds, FullRecording)
@@ -288,55 +325,57 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			run.Snapshots[u] = snapBuf[u*rounds : (u+1)*rounds : (u+1)*rounds]
 		}
 	}
+
+	// Port tables, resolved once per execution. Node u's ports are the
+	// slots off[u]..off[u+1]-1, in port order; slot off[u]+i is both u's
+	// inbox entry for port i and u's outedge to that neighbor. route[e]
+	// is the slot at which outedge e's payload is received.
+	ports := make([][]int, n)
+	off := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		ports[u] = portOrder(g, u)
+		off[u+1] = off[u] + len(ports[u])
+	}
+	totalDeg := off[n]
+	route := make([]int, totalDeg)
+	// Visiting senders in name order hands each receiver its senders in
+	// its own port order, so the k-th visit to v is v's port k.
+	byName := make([]int, n)
+	for u := range byName {
+		byName[u] = u
+	}
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(g.Name(a), g.Name(b)) })
+	next := make([]int, n)
+	for _, u := range byName {
+		for i, v := range ports[u] {
+			route[off[u]+i] = off[v] + next[v]
+			next[v]++
+		}
+	}
+	var seqs [][]Payload // seqs[e] = the edge behavior of outedge e (full recording only)
 	if opts.RecordEdges {
-		run.Edges = make(map[graph.Edge][]Payload, 2*g.NumEdges())
-		for _, e := range g.DirectedEdges() {
-			run.Edges[e] = make([]Payload, rounds)
-		}
-	}
-
-	// Per-node routing tables, resolved once instead of per message:
-	// adj[u] lists u's neighbor indices, inName[u][s] names the neighbor
-	// occupying slot s of u's mailbox, and send[u] maps an addressee name
-	// to its precomputed delivery route.
-	adj := make([][]int, n)
-	inName := make([][]string, n)
-	slotOf := make([]map[int]int, n) // receiver -> sender index -> slot
-	for u := 0; u < n; u++ {
-		adj[u] = g.Neighbors(u)
-		inName[u] = make([]string, len(adj[u]))
-		slotOf[u] = make(map[int]int, len(adj[u]))
-		for s, v := range adj[u] {
-			inName[u][s] = g.Name(v)
-			slotOf[u][v] = s
-		}
-	}
-	send := make([]map[string]sendTarget, n)
-	for u := 0; u < n; u++ {
-		send[u] = make(map[string]sendTarget, len(adj[u]))
-		for _, v := range adj[u] {
-			t := sendTarget{v: v, slot: slotOf[v][u]}
-			if opts.RecordEdges {
-				t.seq = run.Edges[graph.Edge{From: g.Name(u), To: g.Name(v)}]
+		run.Edges = make(map[graph.Edge][]Payload, totalDeg)
+		seqs = make([][]Payload, totalDeg)
+		edgeBuf := make([]Payload, totalDeg*rounds)
+		for u := 0; u < n; u++ {
+			for i, v := range ports[u] {
+				e := off[u] + i
+				seqs[e] = edgeBuf[e*rounds : (e+1)*rounds : (e+1)*rounds]
+				run.Edges[graph.Edge{From: g.Name(u), To: g.Name(v)}] = seqs[e]
 			}
-			send[u][g.Name(v)] = t
 		}
 	}
 
-	// A ring of reusable mailbox buffers (delivery round x node x
-	// sender-slot) plus one reusable Inbox map per node, refilled at the
-	// Step boundary. Synchronous delivery needs a window of 2 (the
-	// classic current/next double buffer); a delay schedule widens the
-	// window to maxExtra+2 so a message sent in round r with extra delay
-	// e <= maxExtra lands in slot (r+1+e) mod window — always a future
-	// slot distinct from the one being read, and read exactly once, at
-	// round r+1+e. Slots are wiped right after their read round, so a
-	// slot observed at round d is exactly the sends targeted at d.
-	totalDeg := 0
-	for u := 0; u < n; u++ {
-		totalDeg += len(adj[u])
-	}
-	delays, maxExtra := opts.Delays.compile()
+	// A ring of mailboxes (delivery round x receiving slot). Synchronous
+	// delivery needs a window of 2 (the classic current/next double
+	// buffer); a delay schedule widens the window to maxExtra+2 so a
+	// message sent in round r with extra delay e <= maxExtra lands in
+	// mailbox (r+1+e) mod window — always a future mailbox distinct from
+	// the one being read, and read exactly once, at round r+1+e.
+	// Mailboxes are wiped right after their read round, so the mailbox
+	// observed at round d is exactly the sends targeted at d. Each
+	// device's inbox is its own window of the current mailbox.
+	delays, maxExtra := opts.Delays.compile(g, ports, off)
 	window := maxExtra + 2
 	// Async message accounting (sim.async.* counters): only ever non-nil
 	// for a traced delay-schedule execution, so the synchronous hot path
@@ -346,22 +385,7 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 		acct = &asyncAcct{}
 		defer acct.flush()
 	}
-	ringBuf := make([]Payload, window*totalDeg)
-	ring := make([][][]Payload, window)
-	views := make([][]Payload, window*n)
-	inboxes := make([]Inbox, n)
-	for w := 0; w < window; w++ {
-		ring[w] = views[w*n : (w+1)*n : (w+1)*n]
-		off := w * totalDeg
-		for u := 0; u < n; u++ {
-			d := len(adj[u])
-			ring[w][u] = ringBuf[off : off+d : off+d]
-			off += d
-		}
-	}
-	for u := 0; u < n; u++ {
-		inboxes[u] = make(Inbox, len(adj[u]))
-	}
+	ring := make([]Payload, window*totalDeg)
 
 	// Per-execution intern tables for the retained strings of a full
 	// recording. Devices re-emit equal payloads and snapshots round after
@@ -390,14 +414,13 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			return run, cancelErr
 		}
 		var roundErr error
-		cur := ring[r%window]
+		cur := ring[(r%window)*totalDeg : (r%window+1)*totalDeg]
 		for u := 0; u < n; u++ {
-			inbox := inboxes[u]
-			clear(inbox)
-			for s, p := range cur[u] {
-				if p != None {
-					inbox[inName[u][s]] = p
-					if acct != nil {
+			lo, hi := off[u], off[u+1]
+			inbox := Inbox(cur[lo:hi:hi])
+			if acct != nil {
+				for _, p := range inbox {
+					if p != None {
 						acct.delivered++
 					}
 				}
@@ -406,60 +429,51 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			if fault != nil && roundErr == nil {
 				roundErr = fault
 			}
-			// Validate the whole outbox before delivering anything, so a
-			// bad addressee never leaves a nondeterministically half-
-			// delivered round behind (Outbox iteration order is random).
-			bad := ""
-			for to := range out {
-				if _, ok := send[u][to]; !ok && (bad == "" || to < bad) {
-					bad = to
-				}
-			}
-			if bad != "" {
+			if out != nil && len(out) != hi-lo {
 				if roundErr == nil {
 					roundErr = execRuleError(g.Name(u), r,
-						"sim: node %s sent to non-neighbor %q in round %d", g.Name(u), bad, r)
+						"sim: node %s returned an outbox of length %d in round %d, want one entry per port (%d)",
+						g.Name(u), len(out), r, hi-lo)
 				}
-			} else {
-				uName := g.Name(u)
-				for to, payload := range out {
-					if payload == None {
-						continue
-					}
-					t := send[u][to]
-					if t.seq != nil {
-						if internPay != nil {
-							if c, ok := internPay[payload]; ok {
-								payload = c
-							} else {
-								internPay[payload] = payload
-							}
-						}
-						t.seq[r] = payload
-					}
-					deliver := r + 1
-					if delays != nil {
-						extra := delays[delayKey{uName, to, r}]
-						deliver += extra
-						if acct != nil {
-							acct.sent++
-							if extra > 0 {
-								acct.delayed++
-							}
-							switch {
-							case deliver >= rounds:
-								acct.lost++
-							case ring[deliver%window][t.v][t.slot] != None:
-								// This send lands on a slot still holding an
-								// undelivered earlier message on the same
-								// edge: the overwritten one is the casualty.
-								acct.collided++
-							}
+				out = nil // deliver nothing rather than a guess
+			}
+			for i, payload := range out {
+				if payload == None {
+					continue
+				}
+				e := lo + i
+				if seqs != nil {
+					if internPay != nil {
+						if c, ok := internPay[payload]; ok {
+							payload = c
+						} else {
+							internPay[payload] = payload
 						}
 					}
-					if deliver < rounds {
-						ring[deliver%window][t.v][t.slot] = payload
+					seqs[e][r] = payload
+				}
+				deliver := r + 1
+				if delays != nil {
+					extra := delays[delaySlot{edge: e, round: r}]
+					deliver += extra
+					if acct != nil {
+						acct.sent++
+						if extra > 0 {
+							acct.delayed++
+						}
+						switch {
+						case deliver >= rounds:
+							acct.lost++
+						case ring[(deliver%window)*totalDeg+route[e]] != None:
+							// This send lands on a slot still holding an
+							// undelivered earlier message on the same
+							// edge: the overwritten one is the casualty.
+							acct.collided++
+						}
 					}
+				}
+				if deliver < rounds {
+					ring[(deliver%window)*totalDeg+route[e]] = payload
 				}
 			}
 			if opts.RecordSnapshots {
@@ -497,12 +511,9 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 			// mode) been snapshotted; return the diagnosable partial run.
 			return run, roundErr
 		}
-		// The slot just read becomes the buffer for round r+window; wipe
+		// The mailbox just read becomes the one for round r+window; wipe
 		// it so stale payloads never resurface.
-		spent := ringBuf[(r%window)*totalDeg : (r%window+1)*totalDeg]
-		for i := range spent {
-			spent[i] = None
-		}
+		clear(cur)
 	}
 	return run, nil
 }

@@ -38,7 +38,7 @@ func (d *gossipDevice) Init(self string, neighbors []string, input Input) {
 }
 
 func (d *gossipDevice) Step(round int, inbox Inbox) Outbox {
-	for _, p := range inboxValues(inbox) {
+	for _, p := range inbox {
 		for _, fact := range strings.Split(string(p), ",") {
 			if fact != "" {
 				d.heard[fact] = true
@@ -49,24 +49,11 @@ func (d *gossipDevice) Step(round int, inbox Inbox) Outbox {
 		d.decided = true
 	}
 	msg := Payload(d.factList())
-	out := Outbox{}
-	for _, nb := range d.neighbors {
-		out[nb] = msg
+	out := make(Outbox, len(d.neighbors))
+	for i := range out {
+		out[i] = msg
 	}
 	return out
-}
-
-func inboxValues(in Inbox) []Payload {
-	keys := make([]string, 0, len(in))
-	for k := range in {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([]Payload, len(keys))
-	for i, k := range keys {
-		vals[i] = in[k]
-	}
-	return vals
 }
 
 func (d *gossipDevice) factList() string {
@@ -172,19 +159,28 @@ func TestExecuteRejectsNonNeighborSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ReplayDevice.Init drops non-neighbor scripts, so construct the
-	// violation manually: a device that addresses a non-neighbor.
-	sys.Devices[0] = rawSender{to: "l2"}
+	// violation manually: a device with one port too many, the slot a
+	// send to l2 would need.
+	sys.Devices[0] = rawSender{ports: 2}
 	if _, err := Execute(sys, 2); err == nil {
 		t.Error("send to non-neighbor accepted")
 	}
 }
 
-type rawSender struct{ to string }
+// rawSender sends "boo" on the given number of ports, whatever its
+// degree.
+type rawSender struct{ ports int }
 
 func (r rawSender) Init(string, []string, Input) {}
-func (r rawSender) Step(int, Inbox) Outbox       { return Outbox{r.to: "boo"} }
-func (r rawSender) Snapshot() string             { return "raw" }
-func (r rawSender) Output() (Decision, bool)     { return Decision{}, false }
+func (r rawSender) Step(int, Inbox) Outbox {
+	out := make(Outbox, r.ports)
+	for i := range out {
+		out[i] = "boo"
+	}
+	return out
+}
+func (r rawSender) Snapshot() string         { return "raw" }
+func (r rawSender) Output() (Decision, bool) { return Decision{}, false }
 
 type flipFlopDecider struct{ round int }
 
@@ -283,10 +279,10 @@ func TestReplayDropsNonNeighborScripts(t *testing.T) {
 	d := NewReplayDevice(map[string][]Payload{"far": {"x"}, "nb": {"y"}})
 	d.Init("self", []string{"nb"}, "0")
 	out := d.Step(0, nil)
-	if _, ok := out["far"]; ok {
-		t.Error("script to non-neighbor retained")
+	if len(out) != 1 {
+		t.Errorf("outbox %q has %d ports, want 1: script to non-neighbor retained", out, len(out))
 	}
-	if out["nb"] != "y" {
+	if len(out) == 0 || out[0] != "y" {
 		t.Error("neighbor script dropped")
 	}
 }

@@ -40,6 +40,7 @@ type detectDefault struct {
 	decideRound int
 	decided     bool
 	decision    string
+	out         sim.Outbox
 }
 
 var _ sim.Device = (*detectDefault)(nil)
@@ -77,13 +78,12 @@ func (d *detectDefault) Init(self string, neighbors []string, input sim.Input) {
 
 func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if round > 0 {
-		for _, nb := range d.nbs {
-			payload, ok := inbox[nb]
-			if !ok {
+		for i, nb := range d.nbs {
+			if inbox[i] == sim.None {
 				d.anomaly = true // silence is a fault symptom
 				continue
 			}
-			d.ingest(nb, string(payload))
+			d.ingest(nb, string(inbox[i]))
 		}
 	}
 	// Any disagreement among seen values is an anomaly.
@@ -100,12 +100,8 @@ func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 			d.decision = d.input
 		}
 	}
-	out := sim.Outbox{}
-	msg := d.encode()
-	for _, nb := range d.nbs {
-		out[nb] = msg
-	}
-	return out
+	d.out = sim.Broadcast(d.out, len(d.nbs), d.encode())
+	return d.out
 }
 
 // encode is "value|anomaly" plus the sorted view, so anomaly reports
