@@ -386,9 +386,9 @@ func InitiallyDead() sim.Builder {
 }
 
 func (deadDevice) Init(self string, neighbors []string, input sim.Input) {}
-func (deadDevice) Step(round int, inbox sim.Inbox) sim.Outbox           { return nil }
-func (deadDevice) Snapshot() string                                     { return "dead" }
-func (deadDevice) Output() (sim.Decision, bool)                         { return sim.Decision{}, false }
+func (deadDevice) Step(round int, inbox sim.Inbox) sim.Outbox            { return nil }
+func (deadDevice) Snapshot() string                                      { return "dead" }
+func (deadDevice) Output() (sim.Decision, bool)                          { return sim.Decision{}, false }
 
 func sortedCopy(names []string) []string {
 	c := append([]string(nil), names...)

@@ -30,8 +30,9 @@ type GridDevice struct {
 // returns the results as out[caseIdx][deviceIdx], in the same order the
 // cases and devices were given. The device-independent half of each
 // case's argument — induction length, verified ring cover, the h-iterate
-// table, and t'' — is prepared once per case and shared (read-only) by
-// all of that case's device cells, rather than rebuilt per cell.
+// table, and the evaluation time hᵏ(t') — is prepared once per case and
+// shared (read-only) by all of that case's device cells, rather than
+// rebuilt per cell.
 func EvalGrid(cases []GridCase, devices []GridDevice) ([][]*Result, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("clocksync: grid needs at least one device family")

@@ -81,12 +81,12 @@ func annotatedHelper(ctx context.Context) {
 }
 
 func unguardedProgress() {
-	obs.SetProgressPhase("E1")       // want `obs\.SetProgressPhase mutates live-progress state \(mutex \+ worker map\) outside an obs\.Enabled\(\) guard`
-	t := obs.ProgressSweepStart(10)  // want `obs\.ProgressSweepStart mutates live-progress state`
-	obs.ProgressTrialStart()         // want `obs\.ProgressTrialStart mutates live-progress state`
-	obs.ProgressTrialDone(0, 40)     // want `obs\.ProgressTrialDone mutates live-progress state`
-	obs.ProgressTrialFault(0)        // want `obs\.ProgressTrialFault mutates live-progress state`
-	obs.ResetProgress()              // session setup, not a hot path: never flagged
+	obs.SetProgressPhase("E1")      // want `obs\.SetProgressPhase mutates live-progress state \(mutex \+ worker map\) outside an obs\.Enabled\(\) guard`
+	t := obs.ProgressSweepStart(10) // want `obs\.ProgressSweepStart mutates live-progress state`
+	obs.ProgressTrialStart()        // want `obs\.ProgressTrialStart mutates live-progress state`
+	obs.ProgressTrialDone(0, 40)    // want `obs\.ProgressTrialDone mutates live-progress state`
+	obs.ProgressTrialFault(0)       // want `obs\.ProgressTrialFault mutates live-progress state`
+	obs.ResetProgress()             // session setup, not a hot path: never flagged
 	t.Finish()
 }
 

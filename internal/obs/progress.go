@@ -249,7 +249,7 @@ func (p ProgressInfo) Line() string {
 		phase, p.Done, p.Total, p.Percent(), p.Busy, p.Queue,
 		(time.Duration(p.ElapsedUS) * time.Microsecond).Round(time.Second))
 	if p.ETAUS > 0 {
-		line += fmt.Sprintf(" eta=%s", (time.Duration(p.ETAUS)*time.Microsecond).Round(time.Second))
+		line += fmt.Sprintf(" eta=%s", (time.Duration(p.ETAUS) * time.Microsecond).Round(time.Second))
 	}
 	if p.Faults > 0 {
 		line += fmt.Sprintf(" faults=%d", p.Faults)
