@@ -1,21 +1,15 @@
 # Verification gates (see ROADMAP.md).
 #
 # verify       tier-1: build + full test suite + flmlint
-# lint         build the flmlint vettool and run it over every package
-#              via `go vet -vettool` (per-package result caching); the
-#              four analyzers machine-check determinism, fingerprint
+# lint         fail if gofmt -l lists any tracked Go file, then build the
+#              flmlint vettool and run it over every package via
+#              `go vet -vettool` (per-package result caching); the four
+#              analyzers machine-check determinism, fingerprint
 #              coverage, zero-cost observability, and buffer ownership
 #              (see internal/lint)
 # verify-race  extended: vet + race-enabled tests; FLM_WORKERS forces the
 #              parallel sweep path so the race detector sees real
 #              concurrency even on single-core runners
-# bench        refresh the BENCH_<date>.json perf snapshot
-# bench-smoke  quick bench (1 run/entry) diffed against the committed
-#              baseline, report-only — the CI perf canary
-# bench-gate   hard allocs/B gate on the two hot-path micros
-#              (micro:timedsim-tick, micro:eig-resolve); allocation
-#              counts carry only a few percent of GC jitter, so unlike
-#              ns/op they gate reliably even on shared runners
 # cache-warm   the cross-process reuse smoke: run the full experiment
 #              suite twice against one FLM_CACHE_DIR, require the second
 #              run's report byte-identical to the first and its disk
@@ -43,9 +37,6 @@ CHAOS_SEED ?= 1
 CHAOS_TRIALS ?= 64
 ASYNC_CHAOS_SEED ?= 7
 ASYNC_CHAOS_TRIALS ?= 48
-BENCH_BASELINE ?= BENCH_2026-10-18.json
-BENCH_GATE_ENTRIES ?= micro:timedsim-tick,micro:eig-resolve,micro:async-sched,micro:cache-evict
-BENCH_GATE_THRESHOLD ?= 10
 TRACE_FILE ?= /tmp/flm-trace-smoke.jsonl
 CACHE_WARM_DIR ?= /tmp/flm-cache-warm
 CACHE_WARM_MIN_RATE ?= 90
@@ -55,17 +46,22 @@ TRACE_DIFF_FILE ?= /tmp/flm-trace-diff.jsonl
 TRACE_DIFF_THRESHOLD ?= 5
 OBS_SMOKE_ADDR ?= 127.0.0.1:9177
 
-.PHONY: verify verify-race lint bench bench-smoke bench-gate cache-warm chaos chaos-async trace-smoke trace-diff obs-smoke
+.PHONY: verify verify-race lint cache-warm chaos chaos-async trace-smoke trace-diff obs-smoke
 
 verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 
-# The vettool is rebuilt every time (it is one small package; go build
-# is a no-op when nothing changed) so `make lint` can never run a stale
-# binary. go vet hashes the binary into its action IDs, so per-package
-# results are cached across runs until the analyzers change.
+# gofmt reads the tracked files only, so build output under the
+# git-ignored .bench_build/ never counts. The vettool is rebuilt every
+# time (it is one small package; go build is a no-op when nothing
+# changed) so `make lint` can never run a stale binary. go vet hashes
+# the binary into its action IDs, so per-package results are cached
+# across runs until the analyzers change.
 lint:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	unformatted=$$(gofmt -l $$files) || exit 1; \
+	test -z "$$unformatted" || { echo "lint: gofmt -l lists unformatted files:" >&2; echo "$$unformatted" >&2; exit 1; }
 	@mkdir -p $(dir $(FLMLINT))
 	$(GO) build -o $(FLMLINT) ./cmd/flmlint
 	$(GO) vet -vettool=$(FLMLINT) ./...
@@ -73,15 +69,6 @@ lint:
 verify-race: verify
 	$(GO) vet ./...
 	FLM_WORKERS=$(RACE_WORKERS) $(GO) test -race ./...
-
-bench:
-	$(GO) run ./cmd/flm bench
-
-bench-smoke:
-	$(GO) run ./cmd/flm bench -runs 1 -o /tmp/flm-bench-smoke.json -compare $(BENCH_BASELINE)
-
-bench-gate:
-	$(GO) run ./cmd/flm bench -runs 1 -entries $(BENCH_GATE_ENTRIES) -o /tmp/flm-bench-gate.json -compare $(BENCH_BASELINE) -threshold $(BENCH_GATE_THRESHOLD)
 
 # Both runs are cold processes (go run spawns a fresh binary); only the
 # blob store under CACHE_WARM_DIR carries state across. The diff proves

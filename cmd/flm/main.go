@@ -26,11 +26,10 @@ func main() {
 	// The disk tier of the run cache is a per-process opt-in (the
 	// library default keeps `go test` and embedders hermetic); the CLI
 	// is where cross-process reuse pays, so it installs the tier here
-	// for every command except bench — whose cold-run regression gate
-	// must never be served from a warm cache directory. FLM_CACHE_DIR
-	// overrides the location; FLM_CACHE_DIR=off disables. Installing in
-	// main rather than run keeps the command tests hermetic too.
-	if len(args) > 0 && args[0] != "bench" {
+	// for every command. FLM_CACHE_DIR overrides the location;
+	// FLM_CACHE_DIR=off disables. Installing in main rather than run
+	// keeps the command tests hermetic too.
+	if len(args) > 0 {
 		if dir := flm.DefaultCacheDir(); dir != "" {
 			if _, err := flm.SetRunCacheDir(dir); err != nil {
 				fmt.Fprintf(os.Stderr, "flm: disk run cache unavailable: %v\n", err)
@@ -60,8 +59,6 @@ func run(args []string, out io.Writer) int {
 		return cmdDot(args[1:], out)
 	case "trace":
 		return cmdTrace(args[1:], out)
-	case "bench":
-		return cmdBench(args[1:], out)
 	case "chaos":
 		return cmdChaos(args[1:], out)
 	case "stats":
@@ -88,15 +85,6 @@ commands:
   dot <cover> [m]      Graphviz DOT of a covering (hex|diamond|ring)
   trace <device>       traffic trace: the round-by-round protocol traffic
                        of the hexagon covering run (unrelated to -trace)
-  bench [-o file] [-runs n] [-workers n] [-compare baseline.json]
-        [-threshold pct] [-cpuprofile f] [-memprofile f]
-                       benchmark the experiments and write BENCH_<date>.json;
-                       -compare diffs against a baseline (default "auto":
-                       the newest committed BENCH_*.json; exit 3 on
-                       regression when -threshold > 0), -cpuprofile and
-                       -memprofile write runtime/pprof profiles; bench
-                       always measures cold runs: the disk cache tier is
-                       never consulted
   chaos [-seed n] [-trials n] [-timeout d] [-workers n] [-noshrink]
         [-async] [-deadset]
                        fire seeded randomized adversaries at the protocol
@@ -120,13 +108,13 @@ commands:
                        -notiming skips the wall-time family for
                        cross-machine comparisons
 
-The run, all, prove, chaos, and bench commands accept a global
+The run, all, prove, and chaos commands accept a global
 -trace <file.jsonl> flag (env fallback FLM_TRACE) that records every
 span, event, and metric of the invocation as JSON Lines; inspect the
 result with flm stats. Tracing off costs nothing: the engine runs its
 instrumentation-free path.
 
-Live observability: run, all, chaos, and bench also accept
+Live observability: run, all, and chaos also accept
 -obs-listen <addr> (env fallback FLM_OBS_LISTEN) to serve /metrics
 (Prometheus text), /healthz, /progress (JSON trials/workers/ETA
 snapshot), and /debug/pprof for the duration of the command, and
@@ -137,9 +125,8 @@ changes the report on stdout.
 Run cache: memoized executions live in a bounded in-memory tier
 (FLM_CACHE_BUDGET, default 256MiB) plus an on-disk content-addressed
 store shared across processes (FLM_CACHE_DIR, default the user cache
-dir; set to "off" to disable). Every command except bench uses the disk
-tier; bench measures cold runs by design. FLM_RUNCACHE=off disables
-caching entirely.`)
+dir; set to "off" to disable). Every command uses the disk tier.
+FLM_RUNCACHE=off disables caching entirely.`)
 }
 
 func cmdDot(args []string, out io.Writer) int {
@@ -174,7 +161,7 @@ func cmdDot(args []string, out io.Writer) int {
 
 func cmdTrace(args []string, out io.Writer) int {
 	if len(args) != 1 {
-		fmt.Fprintln(out, "trace: usage: flm trace <device>  (majority|eig|phase-king) — prints the covering run's traffic trace; for an instrumentation trace use -trace on run/all/prove/chaos/bench")
+		fmt.Fprintln(out, "trace: usage: flm trace <device>  (majority|eig|phase-king) — prints the covering run's traffic trace; for an instrumentation trace use -trace on run/all/prove/chaos")
 		return 2
 	}
 	tri := flm.Triangle()

@@ -12,7 +12,7 @@ import (
 // Live observability wiring: the -obs-listen flag (env fallback
 // FLM_OBS_LISTEN) starts the stdlib HTTP endpoint from internal/obs
 // serving /metrics, /healthz, /progress, and /debug/pprof for the
-// duration of a run/all/chaos/bench invocation, and FLM_OBS_INTERVAL
+// duration of a run/all/chaos invocation, and FLM_OBS_INTERVAL
 // enables the periodic stderr progress line. Both are opt-in; with
 // neither set, startObs returns a nil session without allocating or
 // starting a goroutine (guard-tested in obslisten_test.go), preserving

@@ -76,7 +76,7 @@ func cmdStats(args []string, out io.Writer) int {
 		return cmdStatsDiff(fs.Arg(0), fs.Arg(1), *threshold, *noTiming, out)
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(out, "stats: usage: flm stats [-mindiskrate pct] <trace.jsonl>  (produced by -trace on run/all/prove/chaos/bench), or flm stats -diff <old.jsonl> <new.jsonl>")
+		fmt.Fprintln(out, "stats: usage: flm stats [-mindiskrate pct] <trace.jsonl>  (produced by -trace on run/all/prove/chaos), or flm stats -diff <old.jsonl> <new.jsonl>")
 		return 2
 	}
 	path := fs.Arg(0)

@@ -9,9 +9,7 @@ import (
 
 // The trace-diff regression gate: `flm stats -diff old.jsonl new.jsonl`
 // folds two traces and compares the behavioral families that should be
-// stable run-over-run — the behavioral twin of `flm bench -compare`,
-// which gates allocations the same way. Exit 3 when any family drifts
-// beyond -threshold.
+// stable run-over-run. Exit 3 when any family drifts beyond -threshold.
 //
 // Families and their units:
 //

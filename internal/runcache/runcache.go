@@ -652,8 +652,8 @@ func (c *Cache) Stats() Stats {
 // Reset drops all L1 entries and zeroes the counters. In-flight
 // computations finish normally but their results are not retained. The
 // disk tier is untouched: Reset makes the *memory* cold. Callers that
-// need a fully cold run (flm bench) must also bypass or uninstall the
-// store — see SetStore.
+// need a fully cold run must also bypass or uninstall the store — see
+// SetStore.
 func (c *Cache) Reset() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()

@@ -56,7 +56,7 @@ func ResetRunCache() { runCache.Reset() }
 //
 // The library default is no disk tier: `go test` and embedders stay
 // hermetic unless they opt in. The flm CLI opts in at startup for every
-// command except bench (see cmd/flm), honoring FLM_CACHE_DIR.
+// command (see cmd/flm), honoring FLM_CACHE_DIR.
 func SetRunCacheDir(dir string) (restore func(), err error) {
 	if dir == "" {
 		return runCache.SetStore(nil, nil), nil
@@ -69,8 +69,7 @@ func SetRunCacheDir(dir string) (restore func(), err error) {
 }
 
 // DisableDiskRunCache removes the disk tier (if any), returning a
-// restore function — the bench harness brackets its cold-run
-// measurements with this.
+// restore function, for measurements that must run cold.
 func DisableDiskRunCache() (restore func()) { return runCache.SetStore(nil, nil) }
 
 // RunCacheDir reports the directory of the installed disk tier, or ""

@@ -90,11 +90,10 @@ func TestObsDisabledGuardZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkObsDisabled is the zero-overhead-when-disabled benchmark the
-// bench suite's micro:obs-disabled entry mirrors: ExecuteCtx with no
-// tracer installed, run cache off so every iteration exercises the full
-// executor rather than a memoized hit. Compare against
-// BenchmarkObsEnabled to see what a live tracer costs.
+// BenchmarkObsDisabled is the zero-overhead-when-disabled benchmark:
+// ExecuteCtx with no tracer installed, run cache off so every iteration
+// exercises the full executor rather than a memoized hit. Compare
+// against BenchmarkObsEnabled to see what a live tracer costs.
 func BenchmarkObsDisabled(b *testing.B) {
 	restoreCache := runcache.SetEnabled(false)
 	defer restoreCache()

@@ -92,12 +92,11 @@ func ctxHasLabels(ctx context.Context) bool {
 
 // doLabeled runs f under the context's pprof label set extended with
 // this worker's index, so CPU profile samples of a labeled sweep (e.g.
-// `flm bench -cpuprofile` tagging each experiment, or `flm chaos`
-// tagging the harness) attribute to both the experiment and the worker.
-// With an unlabeled context it runs f directly — pprof.Do would replace
-// the goroutine's inherited labels (the per-experiment tag a worker
-// picks up from its spawner) with an empty set, which is exactly the
-// attribution we must not lose.
+// `flm chaos` tagging the harness) attribute to both the caller's label
+// and the worker. With an unlabeled context it runs f directly —
+// pprof.Do would replace the goroutine's inherited labels (the tag a
+// worker picks up from its spawner) with an empty set, which is exactly
+// the attribution we must not lose.
 func doLabeled(ctx context.Context, w int, f func()) {
 	if !ctxHasLabels(ctx) {
 		f()
