@@ -208,7 +208,7 @@ func cacheEvict() error {
 	computes := 0
 	for pass := 0; pass < 2; pass++ {
 		for _, k := range keys {
-			if _, err := c.Do(k, func() (any, error) {
+			if _, _, err := c.Do(k, func() (any, error) {
 				computes++
 				return val, nil
 			}); err != nil {

@@ -103,8 +103,8 @@ commands:
   stats -diff [-threshold pct] [-notiming] <old.jsonl> <new.jsonl>
                        behavioral regression gate: fold both traces and
                        exit 3 when counters, span counts, span
-                       wall-time shares, cache served-rates, or message
-                       /byte traffic drift beyond the threshold;
+                       wall-time shares, the run-cache served-rate, or
+                       message/byte traffic drift beyond the threshold;
                        -notiming skips the wall-time family for
                        cross-machine comparisons
 

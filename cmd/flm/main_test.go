@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"flm"
 )
 
 func capture(t *testing.T, args ...string) (string, int) {
@@ -126,20 +129,40 @@ func TestTraceCommand(t *testing.T) {
 	}
 }
 
+// TestAllWithOutputFile is the report gate: `flm all -o` must write the
+// committed report.txt byte for byte, with the run cache on and again
+// with it off, so no cache can change a result.
 func TestAllWithOutputFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	path := filepath.Join(t.TempDir(), "report.txt")
-	out, code := capture(t, "all", "-o", path)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out[:min(len(out), 2000)])
+	want, err := os.ReadFile(filepath.Join("..", "..", "report.txt"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range []string{"E1", "E8", "E14"} {
-		if !strings.Contains(out, "== "+id+":") {
-			t.Errorf("report missing %s", id)
+	all := func(cacheOn bool) {
+		t.Helper()
+		defer flm.SetRunCacheEnabled(cacheOn)()
+		path := filepath.Join(t.TempDir(), "report.txt")
+		out, code := capture(t, "all", "-o", path)
+		if code != 0 {
+			t.Fatalf("run cache on=%v: exit %d:\n%s", cacheOn, code, out[:min(len(out), 2000)])
+		}
+		for _, id := range []string{"E1", "E8", "E14"} {
+			if !strings.Contains(out, "== "+id+":") {
+				t.Errorf("run cache on=%v: report missing %s", cacheOn, id)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("run cache on=%v: the report differs from the committed report.txt (%d vs %d bytes)", cacheOn, len(got), len(want))
 		}
 	}
+	all(true)
+	all(false)
 }
 
 func min(a, b int) int {

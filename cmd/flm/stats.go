@@ -14,7 +14,7 @@ import (
 
 // The stats subcommand replays a -trace JSONL file into per-subsystem
 // summaries: where the time went (per-span-name totals and the slowest
-// individual spans), how the memoization caches served the run, how busy
+// individual spans), how the run cache served the run, how busy
 // each sweep worker was, the shape of the contradiction chains, and the
 // chaos harness's trial outcomes. It is the intended consumer of the
 // tracer's output — a trace is append-only JSON lines precisely so this
@@ -141,7 +141,6 @@ type traceSummary struct {
 	byName        map[string]*spanAgg
 	slowest       []slowSpan
 	execCache     map[string]int // sim.execute spans by cache attr
-	spliceCache   map[string]int // core.splice spans by cache attr
 	workers       map[int64]*workerAgg
 	sweeps        int
 	chains        map[string]*chainAgg
@@ -177,7 +176,6 @@ func foldTrace(r io.Reader) (*traceSummary, error) {
 	s := &traceSummary{
 		byName:       map[string]*spanAgg{},
 		execCache:    map[string]int{},
-		spliceCache:  map[string]int{},
 		workers:      map[int64]*workerAgg{},
 		chains:       map[string]*chainAgg{},
 		chaosOutcome: map[string]int{},
@@ -246,10 +244,6 @@ func (s *traceSummary) addSpan(rec traceRec) {
 		}
 		if v, ok := rec.attrInt("bytes"); ok {
 			s.byteTotal += v
-		}
-	case "core.splice":
-		if st := rec.attrStr("cache"); st != "" {
-			s.spliceCache[st]++
 		}
 	case "sweep.map", "sweep.isolated":
 		s.sweeps++
@@ -325,8 +319,8 @@ func (s *traceSummary) noteSlow(rec traceRec) {
 	}
 }
 
-// cacheLine renders one cache's span-derived counters; served is the
-// fraction answered without running (hits, single-flight waits, and
+// cacheLine renders the run cache's span-derived counters; served is
+// the fraction answered without running (hits, single-flight waits, and
 // disk-tier fills).
 func cacheLine(w io.Writer, label string, counts map[string]int) {
 	if len(counts) == 0 {
@@ -390,7 +384,6 @@ func (s *traceSummary) render(out io.Writer, path string) {
 
 	fmt.Fprintf(out, "\nmemoization caches:\n")
 	cacheLine(out, "run cache", s.execCache)
-	cacheLine(out, "splice cache", s.spliceCache)
 
 	fmt.Fprintf(out, "\nsweep workers:\n")
 	if len(s.workers) == 0 {

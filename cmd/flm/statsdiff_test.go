@@ -73,11 +73,11 @@ func TestStatsDiffRegression(t *testing.T) {
 // on one side always gates, and renders as ∞.
 func TestStatsDiffAppearVanish(t *testing.T) {
 	old := writeTrace(t, "old.jsonl",
-		`{"t":"span","id":1,"name":"core.splice","start_us":0,"dur_us":10,"attrs":{"cache":"hit"}}`,
+		`{"t":"span","id":1,"name":"core.splice","start_us":0,"dur_us":10}`,
 		`{"t":"metrics","at_us":20,"counters":{"gone.counter":5}}`,
 	)
 	cur := writeTrace(t, "new.jsonl",
-		`{"t":"span","id":1,"name":"core.splice","start_us":0,"dur_us":10,"attrs":{"cache":"hit"}}`,
+		`{"t":"span","id":1,"name":"core.splice","start_us":0,"dur_us":10}`,
 		`{"t":"metrics","at_us":20,"counters":{"fresh.counter":5}}`,
 	)
 	out, code := capture(t, "stats", "-diff", "-threshold", "99", old, cur)

@@ -166,7 +166,7 @@ func TestTraceGoldenChaos(t *testing.T) {
 
 // TestTraceContainsCoreSpans is the acceptance check in test form: an E1
 // trace must contain execute, splice, and chain-link spans, each
-// execute/splice span carrying a cache attribute.
+// execute span carrying a cache attribute.
 func TestTraceContainsCoreSpans(t *testing.T) {
 	raw := traceE1(t)
 	seen := map[string]int{}
@@ -180,7 +180,7 @@ func TestTraceContainsCoreSpans(t *testing.T) {
 			t.Fatalf("invalid line %q: %v", line, err)
 		}
 		seen[rec.Name]++
-		if rec.Name == "sim.execute" || rec.Name == "core.splice" {
+		if rec.Name == "sim.execute" {
 			if _, ok := rec.Attrs["cache"].(string); !ok {
 				t.Errorf("%s span lacks a cache attribute: %v", rec.Name, rec.Attrs)
 			}
@@ -210,7 +210,6 @@ func TestStatsCommand(t *testing.T) {
 	for _, want := range []string{
 		"hit rate",
 		"run cache",
-		"splice cache",
 		"no sweep activity",
 		"contradiction chains",
 		"sim.execute",

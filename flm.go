@@ -194,8 +194,8 @@ var (
 	FirstSweepError = sweep.FirstError
 )
 
-// RunCacheStatsReport is the hit/miss/entry counters of one memoization
-// cache (the execution cache or the splice cache).
+// RunCacheStatsReport is the hit/miss/entry counters of the execution
+// cache.
 type RunCacheStatsReport = runcache.Stats
 
 var (
@@ -203,9 +203,6 @@ var (
 	// identical (graph, devices, inputs, rounds, opts) executions are
 	// served from cache when every device is fingerprintable.
 	RunCacheStats = sim.RunCacheStats
-	// SpliceCacheStats reports the splice cache's counters: repeated
-	// scenario splices of the same covering run are served from cache.
-	SpliceCacheStats = core.SpliceCacheStats
 	// SetRunCacheEnabled overrides the FLM_RUNCACHE default (caches on
 	// unless FLM_RUNCACHE=off/0/false/no) and returns a restore func.
 	SetRunCacheEnabled = runcache.SetEnabled
@@ -220,24 +217,20 @@ var (
 	DisableDiskRunCache = sim.DisableDiskRunCache
 	// RunCacheDir reports the installed disk tier's directory, or "".
 	RunCacheDir = sim.RunCacheDir
-	// SetRunCacheBudget rebounds the execution cache's in-memory byte
-	// budget at runtime (negative = unbounded, zero = retain nothing),
-	// overriding FLM_CACHE_BUDGET; returns a restore func.
-	SetRunCacheBudget = sim.SetRunCacheBudget
-	// ParseCacheBudget parses a FLM_CACHE_BUDGET-style value ("64MiB",
-	// "unbounded", ...) into a byte count.
-	ParseCacheBudget = runcache.ParseBudget
 	// DefaultCacheDir resolves the disk tier's directory from the
 	// environment: FLM_CACHE_DIR, or the user cache dir, or "" (off).
 	DefaultCacheDir = runcache.DefaultDir
 )
 
-// ResetRunCaches drops every memoized execution and splice, for tests
+// SpliceCacheStats returns a zero report: splices are no longer
+// memoized (each one executes its G-run through the run cache). It is
+// kept only for perfbench, whose emptyCaches check and tracer still call
+// it, until that benchmark next changes.
+func SpliceCacheStats() RunCacheStatsReport { return RunCacheStatsReport{} }
+
+// ResetRunCaches drops every memoized execution from memory, for tests
 // and for relieving memory pressure in very long sweeps.
-func ResetRunCaches() {
-	sim.ResetRunCache()
-	core.ResetSpliceCache()
-}
+func ResetRunCaches() { sim.ResetRunCache() }
 
 // IsolatedSweep runs n independent trials with full fault isolation: a
 // panicking or hanging trial is converted into a *TrialFault for its

@@ -12,7 +12,7 @@
 //     missed field is a wrong cache hit — silent result corruption.
 //   - flmobscost: internal/obs call sites build attributes only behind
 //     an obs.Enabled() (or nil-span) guard, preserving the zero-alloc
-//     disabled path BenchmarkObsDisabled pins.
+//     disabled path TestExecuteUntracedAllocsLikeExecutor pins.
 //   - flmalias: Device Step/Tick implementations do not retain
 //     executor-owned buffers (inbox maps/slices, arena-backed *big.Rat
 //     scratch) in struct fields or package state.

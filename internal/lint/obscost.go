@@ -8,7 +8,8 @@ import (
 
 // obsPkgPath is the observability layer whose disabled path must stay
 // zero-alloc (the cardinal rule in internal/obs's package doc, pinned
-// by BenchmarkObsDisabled).
+// by TestExecuteUntracedAllocsLikeExecutor and
+// TestSpliceUntracedAllocsLikeBody).
 const obsPkgPath = "flm/internal/obs"
 
 // ObsCost flags span/event/attr construction for internal/obs that is

@@ -1,8 +1,8 @@
 // Package obs is the engine's unified observability layer: a span/event
 // tracer with goroutine-safe JSONL export plus a registry of atomic
 // counters, gauges, and histograms (metrics.go). The performance-critical
-// subsystems — the simulator executor, the run/splice caches, the
-// parallel sweep pool, and the chaos harness — emit spans through this
+// subsystems — the simulator executor, the splice engine, the run cache,
+// the parallel sweep pool, and the chaos harness — emit spans through this
 // package so a single trace file explains where a workload's time,
 // cache traffic, and chain structure went; `flm stats` replays such a
 // file into a per-subsystem summary.
@@ -11,7 +11,9 @@
 // installed by default; Enabled is one atomic pointer load, StartSpan
 // returns a nil *Span that every method treats as a no-op, and hot call
 // sites guard attribute construction behind Enabled so the disabled path
-// allocates nothing (verified by BenchmarkObsDisabled in internal/sim).
+// allocates nothing (TestExecuteUntracedAllocsLikeExecutor in
+// internal/sim and TestSpliceUntracedAllocsLikeBody in internal/core pin
+// it).
 // Instrumentation must therefore follow the pattern
 //
 //	if obs.Enabled() {

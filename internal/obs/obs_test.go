@@ -105,8 +105,9 @@ func TestDisabledPathIsInert(t *testing.T) {
 // TestDisabledZeroAlloc pins the zero-overhead contract: the guard the
 // instrumented hot paths run while tracing is off — Enabled, a nil
 // StartSpan without attrs, and nil-span method calls — allocates
-// nothing. (BenchmarkObsDisabled in internal/sim measures the full
-// executor path.)
+// nothing. (TestExecuteUntracedAllocsLikeExecutor in internal/sim and
+// TestSpliceUntracedAllocsLikeBody in internal/core pin the full
+// executor and splice paths.)
 func TestDisabledZeroAlloc(t *testing.T) {
 	defer SetTracer(nil)()
 	ctx := context.Background()

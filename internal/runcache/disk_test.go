@@ -11,7 +11,7 @@ import (
 // without dragging in a real result type.
 type strCodec struct{}
 
-func (strCodec) Encode(key string, v any) ([]byte, bool) {
+func (strCodec) Encode(v any) ([]byte, bool) {
 	s, ok := v.(string)
 	if !ok {
 		return nil, false
@@ -19,7 +19,7 @@ func (strCodec) Encode(key string, v any) ([]byte, bool) {
 	return []byte(s), true
 }
 
-func (strCodec) Decode(key string, data []byte) (any, error) {
+func (strCodec) Decode(data []byte) (any, error) {
 	return string(data), nil
 }
 
@@ -145,7 +145,7 @@ func TestCrossCacheDiskHit(t *testing.T) {
 
 	c1 := New()
 	defer c1.SetStore(store, strCodec{})()
-	if v, err := c1.Do(key, func() (any, error) { return "computed-once", nil }); err != nil || v != "computed-once" {
+	if v, _, err := c1.Do(key, func() (any, error) { return "computed-once", nil }); err != nil || v != "computed-once" {
 		t.Fatalf("first process Do = (%v, %v)", v, err)
 	}
 	if st := c1.Stats(); st.DiskWrites != 1 {
@@ -154,12 +154,12 @@ func TestCrossCacheDiskHit(t *testing.T) {
 
 	c2 := New()
 	defer c2.SetStore(store, strCodec{})()
-	v, err := c2.Do(key, func() (any, error) {
+	v, how, err := c2.Do(key, func() (any, error) {
 		t.Error("second process computed despite a warm disk tier")
 		return nil, errors.New("unreachable")
 	})
-	if err != nil || v != "computed-once" {
-		t.Fatalf("second process Do = (%v, %v), want the disk-served value", v, err)
+	if err != nil || v != "computed-once" || how != DiskHit {
+		t.Fatalf("second process Do = (%v, %v, %v), want the disk-served value", v, how, err)
 	}
 	st := c2.Stats()
 	if st.DiskHits != 1 || st.Misses != 0 {
@@ -198,7 +198,7 @@ func TestCorruptBlobRecovery(t *testing.T) {
 	c2 := New()
 	defer c2.SetStore(store, strCodec{})()
 	calls := 0
-	v, err := c2.Do(key, func() (any, error) { calls++; return "recomputed", nil })
+	v, _, err := c2.Do(key, func() (any, error) { calls++; return "recomputed", nil })
 	if err != nil || v != "recomputed" || calls != 1 {
 		t.Fatalf("Do over corrupt blob = (%v, %v, calls %d), want recompute", v, err, calls)
 	}
@@ -225,7 +225,7 @@ func TestResetKeepsDisk(t *testing.T) {
 	key := testKey("reset")
 	c.Do(key, func() (any, error) { return "persisted", nil })
 	c.Reset()
-	v, err := c.Do(key, func() (any, error) {
+	v, _, err := c.Do(key, func() (any, error) {
 		t.Error("computed despite a warm disk tier surviving Reset")
 		return nil, errors.New("unreachable")
 	})

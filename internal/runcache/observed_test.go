@@ -8,18 +8,21 @@ import (
 	"time"
 )
 
+// TestDoObservedHitMissFlags checks the How that Do reports for one
+// key: the first call runs the compute, the second is a Hit that does
+// not, and neither waited.
 func TestDoObservedHitMissFlags(t *testing.T) {
 	c := New()
-	v, hit, waited, err := c.DoObserved("k", func() (any, error) { return 42, nil })
-	if err != nil || v != 42 || hit || waited {
-		t.Fatalf("first call: v=%v hit=%v waited=%v err=%v, want 42/false/false/nil", v, hit, waited, err)
+	v, how, err := c.Do("k", func() (any, error) { return 42, nil })
+	if err != nil || v != 42 || how != Computed {
+		t.Fatalf("first call: v=%v how=%v err=%v, want 42/%v/nil", v, how, err, Computed)
 	}
-	v, hit, waited, err = c.DoObserved("k", func() (any, error) {
+	v, how, err = c.Do("k", func() (any, error) {
 		t.Fatal("compute ran on a hit")
 		return nil, nil
 	})
-	if err != nil || v != 42 || !hit || waited {
-		t.Fatalf("second call: v=%v hit=%v waited=%v err=%v, want 42/true/false/nil", v, hit, waited, err)
+	if err != nil || v != 42 || how != Hit {
+		t.Fatalf("second call: v=%v how=%v err=%v, want 42/%v/nil", v, how, err, Hit)
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Waits != 0 {
@@ -27,28 +30,30 @@ func TestDoObservedHitMissFlags(t *testing.T) {
 	}
 }
 
+// TestDoObservedErrorNotCached checks that the call after a failed
+// compute reports Computed: the error was not retained as a hit.
 func TestDoObservedErrorNotCached(t *testing.T) {
 	c := New()
 	boom := errors.New("boom")
-	if _, _, _, err := c.DoObserved("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	v, hit, _, err := c.DoObserved("k", func() (any, error) { return "fresh", nil })
-	if err != nil || hit || v != "fresh" {
-		t.Fatalf("after error: v=%v hit=%v err=%v, want fresh recompute", v, hit, err)
+	v, how, err := c.Do("k", func() (any, error) { return "fresh", nil })
+	if err != nil || how != Computed || v != "fresh" {
+		t.Fatalf("after error: v=%v how=%v err=%v, want fresh recompute", v, how, err)
 	}
 }
 
-// TestDoObservedWaiters drives the single-flight path: concurrent
-// callers of one key must all get the value, and the late ones must
-// report waited (they blocked on the in-flight compute). The compute
-// holds until every goroutine has launched.
-func TestDoObservedWaiters(t *testing.T) {
+// TestDoReportsWaiters drives the single-flight path: concurrent callers
+// of one key must all get the value, and the late ones must report
+// Waited (they blocked on the in-flight compute). The compute holds
+// until every goroutine has launched.
+func TestDoReportsWaiters(t *testing.T) {
 	c := New()
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
-		_, _, _, _ = c.DoObserved("k", func() (any, error) {
+		_, _, _ = c.Do("k", func() (any, error) {
 			close(started)
 			<-release
 			return "v", nil
@@ -58,22 +63,22 @@ func TestDoObservedWaiters(t *testing.T) {
 
 	const waiters = 4
 	var wg sync.WaitGroup
-	waitedCount := make(chan bool, waiters)
+	hows := make(chan How, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, hit, waited, err := c.DoObserved("k", func() (any, error) {
+			v, how, err := c.Do("k", func() (any, error) {
 				t.Error("compute ran twice for one key")
 				return nil, nil
 			})
-			if err != nil || v != "v" || !hit {
-				t.Errorf("waiter got v=%v hit=%v err=%v", v, hit, err)
+			if err != nil || v != "v" {
+				t.Errorf("waiter got v=%v err=%v", v, err)
 			}
-			waitedCount <- waited
+			hows <- how
 		}()
 	}
-	// DoObserved increments Waits before blocking on the in-flight
+	// Do increments Waits before blocking on the in-flight
 	// compute, so once the counter reaches the waiter count every waiter
 	// is committed to the waited path; only then release the compute.
 	deadline := time.Now().Add(5 * time.Second)
@@ -85,10 +90,10 @@ func TestDoObservedWaiters(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	close(waitedCount)
-	for w := range waitedCount {
-		if !w {
-			t.Error("a waiter reported waited=false despite blocking on the held compute")
+	close(hows)
+	for how := range hows {
+		if how != Waited {
+			t.Errorf("a waiter reported %v despite blocking on the held compute", how)
 		}
 	}
 	if got := c.Stats().Waits; got != waiters {
@@ -121,15 +126,15 @@ func TestStatsSinceAndHitRate(t *testing.T) {
 func TestSinceSurvivesReset(t *testing.T) {
 	c := New()
 	for i := 0; i < 3; i++ {
-		_, _ = c.Do("a", func() (any, error) { return 1, nil })
+		_, _, _ = c.Do("a", func() (any, error) { return 1, nil })
 	}
 	c.Reset()
 	base := c.Stats()
 	if base.Hits != 0 || base.Misses != 0 || base.Waits != 0 {
 		t.Fatalf("post-reset stats = %+v, want zeroes", base)
 	}
-	_, _ = c.Do("b", func() (any, error) { return 2, nil })
-	_, _ = c.Do("b", func() (any, error) { return 2, nil })
+	_, _, _ = c.Do("b", func() (any, error) { return 2, nil })
+	_, _, _ = c.Do("b", func() (any, error) { return 2, nil })
 	d := c.Stats().Since(base)
 	if d.Hits != 1 || d.Misses != 1 {
 		t.Fatalf("delta = %+v, want 1 hit / 1 miss", d)

@@ -9,12 +9,11 @@
 //
 // The cache is two-tier:
 //
-//   - L1 (memory) is a sharded map keyed by fingerprint prefix, each
-//     shard guarded by its own mutex and bounded by its slice of a
-//     configurable byte budget (FLM_CACHE_BUDGET, default 256MiB) with
-//     LRU eviction. The per-shard bound is enforced under the shard
-//     lock, so the whole cache provably never retains more than the
-//     budget.
+//   - L1 (memory) is a 16-way sharded map keyed by fingerprint prefix,
+//     each shard guarded by its own mutex and bounded by its slice of a
+//     byte budget (FLM_CACHE_BUDGET, default 256MiB) with LRU eviction.
+//     The per-shard bound is enforced under the shard lock, so the
+//     whole cache provably never retains more than the budget.
 //   - L2 (disk, optional) is a content-addressed blob store (see
 //     disk.go) installed with SetStore. An L1 miss consults the store
 //     before computing, and a computed value is written back, giving
@@ -61,10 +60,10 @@ import (
 // that a long-running sweep service cannot grow without limit.
 const DefaultBudget = 256 << 20
 
-// defaultShards is the L1 shard count. Fingerprints are sha256 digests,
-// so the leading key byte spreads uniformly; 16 shards keep per-shard
-// mutex contention negligible at any realistic FLM_WORKERS.
-const defaultShards = 16
+// numShards is the L1 shard count. Fingerprints are sha256 digests, so
+// the leading key byte spreads uniformly; 16 shards keep per-shard mutex
+// contention negligible at any realistic FLM_WORKERS.
+const numShards = 16
 
 // Stats is a point-in-time view of a cache's effectiveness counters.
 // Hits/Misses/Waits/DiskHits/... are monotonically growing flows;
@@ -172,14 +171,12 @@ type entry struct {
 // what makes the global bound (sum of shards) provable without a global
 // lock.
 type shard struct {
-	mu        sync.Mutex
-	entries   map[string]*entry
-	head      *entry // most recently used resident entry
-	tail      *entry // least recently used resident entry
-	bytes     int64
-	residents int   // length of the LRU list
-	budget    int64 // < 0 unbounded, 0 retain nothing
-	maxEnt    int   // max resident entries; 0 = unbounded
+	mu      sync.Mutex
+	entries map[string]*entry
+	head    *entry // most recently used resident entry
+	tail    *entry // least recently used resident entry
+	bytes   int64
+	budget  int64 // < 0 unbounded, 0 retain nothing
 }
 
 // Cache is a single-flight two-tier memoization table keyed by
@@ -219,49 +216,26 @@ type tier2 struct {
 // Codec serializes cache values for the disk tier. Encode reports
 // ok=false for values the codec cannot represent (those stay L1-only);
 // Decode failures are treated as corrupt blobs (deleted, then
-// recomputed). The key is the entry's canonical fingerprint, available
-// so decoded values can carry their own content address.
+// recomputed).
 type Codec interface {
-	Encode(key string, v any) (data []byte, ok bool)
-	Decode(key string, data []byte) (any, error)
+	Encode(v any) (data []byte, ok bool)
+	Decode(data []byte) (any, error)
 }
 
 // Option configures a Cache at construction.
 type Option func(*cacheConfig)
 
 type cacheConfig struct {
-	shards  int
 	budget  int64
 	haveBud bool
-	maxEnt  int
 	cost    func(any) int64
 	metrics string
-}
-
-// WithShards sets the L1 shard count (default 16). More shards cut
-// mutex contention; fewer make tiny budgets divide less coarsely.
-func WithShards(n int) Option {
-	return func(c *cacheConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
 }
 
 // WithBudget sets the L1 byte budget, overriding FLM_CACHE_BUDGET.
 // Negative is unbounded; zero retains nothing (single-flight only).
 func WithBudget(bytes int64) Option {
 	return func(c *cacheConfig) { c.budget = bytes; c.haveBud = true }
-}
-
-// WithMaxEntries additionally bounds the resident entry count (0 =
-// unbounded). Like the byte budget it divides across shards.
-func WithMaxEntries(n int) Option {
-	return func(c *cacheConfig) {
-		if n > 0 {
-			c.maxEnt = n
-		}
-	}
 }
 
 // WithCost sets the byte-cost estimator used for budget accounting.
@@ -279,11 +253,11 @@ func WithMetrics(name string) Option {
 	return func(c *cacheConfig) { c.metrics = name }
 }
 
-// New returns an empty cache. With no options: 16 shards, the
-// FLM_CACHE_BUDGET byte budget (default 256MiB), default cost model,
-// no disk tier, no metrics.
+// New returns an empty cache. With no options: the FLM_CACHE_BUDGET
+// byte budget (default 256MiB), default cost model, no disk tier, no
+// metrics.
 func New(opts ...Option) *Cache {
-	cfg := cacheConfig{shards: defaultShards, cost: defaultCost}
+	cfg := cacheConfig{cost: defaultCost}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -291,14 +265,13 @@ func New(opts ...Option) *Cache {
 		cfg.budget = envBudget()
 	}
 	c := &Cache{
-		shards: make([]*shard, cfg.shards),
+		shards: make([]*shard, numShards),
 		cost:   cfg.cost,
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
 			entries: make(map[string]*entry),
-			budget:  shardSlice(cfg.budget, cfg.shards),
-			maxEnt:  shardEntSlice(cfg.maxEnt, cfg.shards),
+			budget:  shardSlice(cfg.budget),
 		}
 	}
 	if cfg.metrics != "" {
@@ -316,22 +289,11 @@ func New(opts ...Option) *Cache {
 // shardSlice divides the byte budget across shards. Unbounded stays
 // unbounded; a bounded budget is floored per shard so the shard sums
 // never exceed the requested total.
-func shardSlice(budget int64, shards int) int64 {
+func shardSlice(budget int64) int64 {
 	if budget < 0 {
 		return -1
 	}
-	return budget / int64(shards)
-}
-
-func shardEntSlice(maxEnt, shards int) int {
-	if maxEnt <= 0 {
-		return 0
-	}
-	n := maxEnt / shards
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return budget / numShards
 }
 
 // defaultCost is the fallback byte-cost model: exact for the flat value
@@ -354,7 +316,7 @@ func (c *Cache) shard(key string) *shard {
 	if len(key) == 0 {
 		return c.shards[0]
 	}
-	return c.shards[int(key[0])%len(c.shards)]
+	return c.shards[int(key[0])%numShards]
 }
 
 // SetStore installs (or, with a nil store, removes) the disk tier and
@@ -378,53 +340,14 @@ func (c *Cache) Store() *Store {
 	return nil
 }
 
-// SetBudget rebounds the L1 byte budget at runtime (same semantics as
-// WithBudget), evicting immediately if shards are over their new slice,
-// and returns a function restoring the previous budget. The entry cap
-// is unchanged.
-func (c *Cache) SetBudget(bytes int64) (restore func()) {
-	var prev int64
-	per := shardSlice(bytes, len(c.shards))
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		if i == 0 {
-			prev = sh.budget
-		}
-		sh.budget = per
-		c.evictLocked(sh)
-		sh.mu.Unlock()
-	}
-	prevTotal := prev
-	if prev >= 0 {
-		prevTotal = prev * int64(len(c.shards))
-	}
-	return func() { c.SetBudget(prevTotal) }
-}
-
 // Do returns the value cached under key, computing it with compute on
-// first use. Concurrent callers with the same key share one in-flight
+// first use, and reports how the lookup was served (miss / hit / wait /
+// disk). Concurrent callers with the same key share one in-flight
 // computation. A compute that errors (or panics) is handed to every
 // waiter of that flight and then forgotten, so errors are never served
 // from cache. The cached value is shared by all callers and must be
 // treated as immutable.
-func (c *Cache) Do(key string, compute func() (any, error)) (any, error) {
-	v, _, err := c.DoHow(key, compute)
-	return v, err
-}
-
-// DoObserved is Do, additionally reporting how the lookup was served:
-// hit is true when the value came without running compute (a finished
-// or in-flight L1 entry, or a disk-tier fill), and waited is true for
-// the in-flight case, where this caller blocked on another caller's
-// computation (the single-flight wait). DoHow exposes the full
-// four-way outcome; this shape is kept for the existing call sites.
-func (c *Cache) DoObserved(key string, compute func() (any, error)) (v any, hit, waited bool, err error) {
-	v, how, err := c.DoHow(key, compute)
-	return v, how != Computed, how == Waited, err
-}
-
-// DoHow is Do, reporting the serve outcome (miss / hit / wait / disk).
-func (c *Cache) DoHow(key string, compute func() (any, error)) (any, How, error) {
+func (c *Cache) Do(key string, compute func() (any, error)) (any, How, error) {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	if e, ok := sh.entries[key]; ok {
@@ -483,7 +406,7 @@ func (c *Cache) diskLookup(t2 *tier2, key string) (any, bool) {
 	data, err := t2.store.Get(key)
 	switch {
 	case err == nil:
-		v, derr := t2.codec.Decode(key, data)
+		v, derr := t2.codec.Decode(data)
 		if derr != nil {
 			c.diskCorrupt.Add(1)
 			c.diskMisses.Add(1)
@@ -510,7 +433,7 @@ func (c *Cache) diskLookup(t2 *tier2, key string) (any, bool) {
 // opting out (ok=false) and write errors are both silent: the disk tier
 // is an accelerator, never a correctness dependency.
 func (c *Cache) diskWrite(t2 *tier2, key string, v any) {
-	data, ok := t2.codec.Encode(key, v)
+	data, ok := t2.codec.Encode(v)
 	if !ok {
 		return
 	}
@@ -552,13 +475,11 @@ func (c *Cache) finish(sh *shard, e *entry, retain bool) {
 }
 
 // evictLocked drops least-recently-used resident entries until the
-// shard is back inside its byte and entry bounds. Callers hold sh.mu.
-// In-flight entries are never on the list, so a flight with waiters can
-// never be computed twice by eviction pressure.
+// shard is back inside its byte budget. Callers hold sh.mu. In-flight
+// entries are never on the list, so a flight with waiters can never be
+// computed twice by eviction pressure.
 func (c *Cache) evictLocked(sh *shard) {
-	for sh.tail != nil &&
-		((sh.budget >= 0 && sh.bytes > sh.budget) ||
-			(sh.maxEnt > 0 && sh.residents > sh.maxEnt)) {
+	for sh.tail != nil && sh.budget >= 0 && sh.bytes > sh.budget {
 		victim := sh.tail
 		sh.unlink(victim)
 		delete(sh.entries, victim.key)
@@ -603,7 +524,6 @@ func (sh *shard) pushFront(e *entry) {
 	if sh.tail == nil {
 		sh.tail = e
 	}
-	sh.residents++
 }
 
 func (sh *shard) unlink(e *entry) {
@@ -618,7 +538,6 @@ func (sh *shard) unlink(e *entry) {
 		sh.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
-	sh.residents--
 }
 
 // Stats returns the current counters. Entries counts retained entries,
@@ -657,12 +576,15 @@ func (c *Cache) Stats() Stats {
 func (c *Cache) Reset() {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
+		var residents int64
+		for e := sh.head; e != nil; e = e.next {
+			residents++
+		}
 		sh.entries = make(map[string]*entry)
 		sh.head, sh.tail = nil, nil
 		addGauge(c.gBytes, -sh.bytes)
-		addGauge(c.gEntries, int64(-sh.residents))
+		addGauge(c.gEntries, -residents)
 		sh.bytes = 0
-		sh.residents = 0
 		sh.mu.Unlock()
 	}
 	c.hits.Store(0)

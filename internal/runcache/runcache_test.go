@@ -12,7 +12,7 @@ func TestDoCachesValues(t *testing.T) {
 	calls := 0
 	compute := func() (any, error) { calls++; return "v", nil }
 	for i := 0; i < 3; i++ {
-		v, err := c.Do("k", compute)
+		v, _, err := c.Do("k", compute)
 		if err != nil || v != "v" {
 			t.Fatalf("Do #%d = (%v, %v), want (v, nil)", i, v, err)
 		}
@@ -28,8 +28,8 @@ func TestDoCachesValues(t *testing.T) {
 
 func TestDoKeysAreIndependent(t *testing.T) {
 	c := New()
-	a, _ := c.Do("a", func() (any, error) { return 1, nil })
-	b, _ := c.Do("b", func() (any, error) { return 2, nil })
+	a, _, _ := c.Do("a", func() (any, error) { return 1, nil })
+	b, _, _ := c.Do("b", func() (any, error) { return 2, nil })
 	if a != 1 || b != 2 {
 		t.Fatalf("Do(a)=%v Do(b)=%v, want 1 and 2", a, b)
 	}
@@ -39,12 +39,12 @@ func TestDoErrorsAreNotCached(t *testing.T) {
 	c := New()
 	boom := errors.New("boom")
 	calls := 0
-	v, err := c.Do("k", func() (any, error) { calls++; return "partial", boom })
+	v, _, err := c.Do("k", func() (any, error) { calls++; return "partial", boom })
 	if !errors.Is(err, boom) || v != "partial" {
 		t.Fatalf("first Do = (%v, %v), want (partial, boom)", v, err)
 	}
 	// The failed flight must not be retained: the next call recomputes.
-	v, err = c.Do("k", func() (any, error) { calls++; return "good", nil })
+	v, _, err = c.Do("k", func() (any, error) { calls++; return "good", nil })
 	if err != nil || v != "good" {
 		t.Fatalf("second Do = (%v, %v), want (good, nil)", v, err)
 	}
@@ -66,7 +66,7 @@ func TestDoPanicsAreNotCached(t *testing.T) {
 		}()
 		c.Do("k", func() (any, error) { panic("kaboom") })
 	}()
-	v, err := c.Do("k", func() (any, error) { return "ok", nil })
+	v, _, err := c.Do("k", func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("Do after panic = (%v, %v), want (ok, nil)", v, err)
 	}
@@ -86,7 +86,7 @@ func TestDoSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do("k", func() (any, error) {
+			v, _, err := c.Do("k", func() (any, error) {
 				calls.Add(1)
 				<-release // hold the flight open so everyone piles up
 				return "shared", nil

@@ -111,9 +111,6 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 	if st1.Hits != st0.Hits+1 || st1.Misses != st0.Misses {
 		t.Fatalf("stats went %+v -> %+v, want exactly one more hit", st0, st1)
 	}
-	if r1.Fingerprint() == "" {
-		t.Fatal("cached run has no fingerprint")
-	}
 }
 
 // TestCacheEquivalence pins byte-identical results: the cached run and a
@@ -134,9 +131,6 @@ func TestCacheEquivalence(t *testing.T) {
 	off()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if plain.Fingerprint() != "" {
-		t.Fatal("cache-disabled run acquired a fingerprint")
 	}
 	if !reflect.DeepEqual(cached.Snapshots, plain.Snapshots) {
 		t.Fatal("snapshots differ between cached and uncached execution")
@@ -210,12 +204,8 @@ func TestCacheBypasses(t *testing.T) {
 	}
 	st0 := RunCacheStats()
 	for i := 0; i < 2; i++ {
-		run, err := ExecuteWith(opaque(), 2, FullRecording)
-		if err != nil {
+		if _, err := ExecuteWith(opaque(), 2, FullRecording); err != nil {
 			t.Fatal(err)
-		}
-		if run.Fingerprint() != "" {
-			t.Fatal("non-fingerprintable system produced a fingerprinted run")
 		}
 	}
 	if steps.Load() != 12 { // both executions ran: 2 x 3 nodes x 2 rounds

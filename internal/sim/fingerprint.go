@@ -81,10 +81,6 @@ func RunCacheDir() string {
 	return ""
 }
 
-// SetRunCacheBudget rebounds the L1 byte budget at runtime (negative =
-// unbounded, zero = retain nothing), returning a restore function.
-func SetRunCacheBudget(bytes int64) (restore func()) { return runCache.SetBudget(bytes) }
-
 // systemKey builds the content-addressed key for one execution:
 // (graph structure, per-node device fingerprint and input, rounds,
 // recording options). It reports ok=false — after a cheap capability

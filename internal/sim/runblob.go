@@ -41,10 +41,10 @@ var errBlobTruncated = errors.New("sim: run blob truncated")
 // ready to use.
 type RunCodec struct{}
 
-// Encode serializes a completed Run. Values that are not runs, partial
-// runs (nil graph), and runs that were never content-addressed report
-// ok=false and stay out of the disk tier.
-func (RunCodec) Encode(key string, v any) ([]byte, bool) {
+// Encode serializes a completed Run. Values that are not runs and
+// partial runs (nil graph) report ok=false and stay out of the disk
+// tier.
+func (RunCodec) Encode(v any) ([]byte, bool) {
 	r, ok := v.(*Run)
 	if !ok || r == nil || r.G == nil {
 		return nil, false
@@ -104,12 +104,11 @@ func (RunCodec) Encode(key string, v any) ([]byte, bool) {
 	return b, true
 }
 
-// Decode reconstructs a Run from its blob. The returned run carries the
-// cache key as its fingerprint, exactly as a freshly executed cached run
-// would. Snapshot strings and payloads are interned per decode,
-// mirroring executeCore's interning, so a decoded full recording retains
-// one canonical copy of each distinct state/payload.
-func (RunCodec) Decode(key string, data []byte) (any, error) {
+// Decode reconstructs a Run from its blob. Snapshot strings and
+// payloads are interned per decode, mirroring executeCore's interning,
+// so a decoded full recording retains one canonical copy of each
+// distinct state/payload.
+func (RunCodec) Decode(data []byte) (any, error) {
 	d := blobReader{data: data}
 	if magic := d.str(); magic != runBlobMagic {
 		return nil, fmt.Errorf("sim: run blob magic %q", magic)
@@ -140,7 +139,6 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 		Rounds:    d.count(1 << 30),
 		Inputs:    make([]Input, n),
 		Decisions: make([]Decision, n),
-		fp:        key,
 	}
 	for u := 0; u < n; u++ {
 		r.Inputs[u] = Input(d.str())
@@ -201,11 +199,6 @@ func (RunCodec) Decode(key string, data []byte) (any, error) {
 func runBlobSize(r *Run) int {
 	return 64 + int(runCost(r))
 }
-
-// RunCost estimates the retained bytes of a *Run — the execution
-// cache's budget-accounting model, exported for layers (core's splice
-// cache) whose cached values embed runs.
-func RunCost(r *Run) int64 { return runCost(r) }
 
 // runCost estimates the retained bytes of a cached *Run for the L1
 // budget accounting. Interned strings are counted once per reference,

@@ -49,20 +49,15 @@ func assertRunsEqual(t *testing.T, got, want *Run) {
 
 func TestRunBlobRoundTripFull(t *testing.T) {
 	r := execForBlob(t, "blob-full", 3, FullRecording)
-	key := "blob-test-key-full"
-	data, ok := RunCodec{}.Encode(key, r)
+	data, ok := RunCodec{}.Encode(r)
 	if !ok {
 		t.Fatal("Encode declined a full-recording run")
 	}
-	v, err := RunCodec{}.Decode(key, data)
+	v, err := RunCodec{}.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*Run)
-	assertRunsEqual(t, got, r)
-	if got.Fingerprint() != key {
-		t.Fatalf("decoded fingerprint %q, want the blob key", got.Fingerprint())
-	}
+	assertRunsEqual(t, v.(*Run), r)
 }
 
 func TestRunBlobRoundTripDecisionOnly(t *testing.T) {
@@ -70,11 +65,11 @@ func TestRunBlobRoundTripDecisionOnly(t *testing.T) {
 	if r.Snapshots != nil || r.Edges != nil {
 		t.Fatal("fast-mode run unexpectedly recorded snapshots/edges")
 	}
-	data, ok := RunCodec{}.Encode("k", r)
+	data, ok := RunCodec{}.Encode(r)
 	if !ok {
 		t.Fatal("Encode declined a decision-only run")
 	}
-	v, err := RunCodec{}.Decode("k", data)
+	v, err := RunCodec{}.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +81,13 @@ func TestRunBlobRoundTripDecisionOnly(t *testing.T) {
 }
 
 func TestRunBlobEncodeDeclines(t *testing.T) {
-	if _, ok := (RunCodec{}).Encode("k", "not a run"); ok {
+	if _, ok := (RunCodec{}).Encode("not a run"); ok {
 		t.Fatal("Encode accepted a non-Run value")
 	}
-	if _, ok := (RunCodec{}).Encode("k", (*Run)(nil)); ok {
+	if _, ok := (RunCodec{}).Encode((*Run)(nil)); ok {
 		t.Fatal("Encode accepted a nil run")
 	}
-	if _, ok := (RunCodec{}).Encode("k", &Run{}); ok {
+	if _, ok := (RunCodec{}).Encode(&Run{}); ok {
 		t.Fatal("Encode accepted a run with no graph")
 	}
 }
@@ -101,17 +96,17 @@ func TestRunBlobEncodeDeclines(t *testing.T) {
 // requires a decode error — never a panic, never a silently partial run.
 func TestRunBlobTruncationRejected(t *testing.T) {
 	r := execForBlob(t, "blob-trunc", 3, FullRecording)
-	data, ok := RunCodec{}.Encode("k", r)
+	data, ok := RunCodec{}.Encode(r)
 	if !ok {
 		t.Fatal("Encode declined")
 	}
 	for n := 0; n < len(data); n++ {
-		if _, err := (RunCodec{}).Decode("k", data[:n]); err == nil {
+		if _, err := (RunCodec{}).Decode(data[:n]); err == nil {
 			t.Fatalf("Decode accepted a blob truncated to %d/%d bytes", n, len(data))
 		}
 	}
 	// Trailing garbage must also be rejected: the frame is exact.
-	if _, err := (RunCodec{}).Decode("k", append(append([]byte(nil), data...), 0x00)); err == nil {
+	if _, err := (RunCodec{}).Decode(append(append([]byte(nil), data...), 0x00)); err == nil {
 		t.Fatal("Decode accepted a blob with trailing bytes")
 	}
 }
@@ -123,7 +118,7 @@ func TestRunBlobTruncationRejected(t *testing.T) {
 // crash or allocate absurdly.
 func TestRunBlobByteFlipsNeverPanic(t *testing.T) {
 	r := execForBlob(t, "blob-flip", 2, FullRecording)
-	data, ok := RunCodec{}.Encode("k", r)
+	data, ok := RunCodec{}.Encode(r)
 	if !ok {
 		t.Fatal("Encode declined")
 	}
@@ -136,7 +131,7 @@ func TestRunBlobByteFlipsNeverPanic(t *testing.T) {
 					t.Fatalf("Decode panicked on byte %d flipped: %v", i, p)
 				}
 			}()
-			RunCodec{}.Decode("k", mut)
+			RunCodec{}.Decode(mut)
 		}()
 	}
 }
@@ -182,9 +177,6 @@ func TestDiskWarmStart(t *testing.T) {
 		t.Fatal("warm-start returned the evicted L1 pointer; expected a decoded copy")
 	}
 	assertRunsEqual(t, second, first)
-	if second.Fingerprint() != first.Fingerprint() {
-		t.Fatalf("fingerprints diverge: %q vs %q", second.Fingerprint(), first.Fingerprint())
-	}
 }
 
 // TestDiskTierRestore: uninstalling the disk tier stops writes.

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"flm/internal/graph"
 	"flm/internal/obs"
@@ -209,16 +210,7 @@ type Run struct {
 	Snapshots [][]string               // Snapshots[u][r] = state of node u after round r
 	Edges     map[graph.Edge][]Payload // Edges[e][r] = payload carried in round r
 	Decisions []Decision               // zero Value when the node never decided
-
-	fp string // cache key of the producing execution; "" when not content-addressed
 }
-
-// Fingerprint returns the content-addressed key under which this run was
-// cached (or would have been), or "" when the producing system was not
-// fingerprintable or the run cache was disabled. Runs with equal
-// fingerprints are byte-identical, which is what lets downstream layers
-// (core's splice cache) key on it.
-func (r *Run) Fingerprint() string { return r.fp }
 
 // ExecuteOpts selects what ExecuteWith records and under which delivery
 // model the system runs. The zero value is the fast mode: only decisions
@@ -281,34 +273,96 @@ func ExecuteWith(sys *System, rounds int, opts ExecuteOpts) (*Run, error) {
 // cache is enabled, the execution is memoized: a repeat of the same
 // (graph, devices, inputs, rounds, opts) returns the previously recorded
 // Run without stepping any device, and concurrent repeats share a single
-// in-flight execution. When a tracer is installed (internal/obs), each
-// execution is additionally wrapped in a "sim.execute" span recording
-// the system shape, how the cache served it, and the run's traffic
-// totals — see trace.go. Two consequences follow. First, the system must
+// in-flight execution. Two consequences follow. First, the system must
 // be freshly built — NewSystem-fresh devices that have never stepped —
 // since the key cannot see accumulated device state; every call site in
 // the engine already works this way (re-executing a stepped system was
 // never meaningful). Second, cancellable contexts bypass the cache, so
 // one caller's cancellation can never be replayed to another.
+//
+// When a tracer is installed (internal/obs), each execution is wrapped
+// in a "sim.execute" span recording the system shape, how the cache
+// served it (hit / wait / disk / miss / bypass / uncacheable), the
+// decision count, and — in full recording mode — the run's message and
+// byte totals, and it ticks the sim.exec and sim.cache counters of
+// trace.go. Without a tracer none of that work is done: ExecuteCtx
+// allocates exactly what the executor does
+// (TestExecuteUntracedAllocsLikeExecutor).
 func ExecuteCtx(ctx context.Context, sys *System, rounds int, opts ExecuteOpts) (*Run, error) {
+	var start time.Time
+	var sp *obs.Span
 	if obs.Enabled() {
-		return executeCtxTraced(ctx, sys, rounds, opts)
+		start = time.Now()
+		ctx, sp = obs.StartSpan(ctx, "sim.execute",
+			obs.Int("nodes", sys.G.N()),
+			obs.Int("rounds", rounds),
+			obs.Bool("snapshots", opts.RecordSnapshots),
+			obs.Bool("edges", opts.RecordEdges))
 	}
+
+	cache := "bypass" // cancellable context or cache disabled
+	var key string
+	cacheable := false
 	if ctx.Done() == nil && runcache.Enabled() {
-		if key, ok := systemKey(sys, rounds, opts); ok {
-			v, err := runCache.Do(key, func() (any, error) {
-				return executeCore(ctx, sys, rounds, opts, key)
-			})
-			r, _ := v.(*Run)
-			return r, err
+		if key, cacheable = systemKey(sys, rounds, opts); !cacheable {
+			cache = "uncacheable" // some device opted out of fingerprinting
 		}
 	}
-	return executeCore(ctx, sys, rounds, opts, "")
+	var run *Run
+	var err error
+	if cacheable {
+		var v any
+		var how runcache.How
+		v, how, err = runCache.Do(key, func() (any, error) {
+			return executeCore(ctx, sys, rounds, opts, true)
+		})
+		run, _ = v.(*Run)
+		cache = how.String() // miss / hit / wait / disk
+	} else {
+		run, err = executeCore(ctx, sys, rounds, opts, false)
+	}
+
+	if sp != nil {
+		switch cache {
+		case "hit":
+			mCacheHit.Inc()
+		case "wait":
+			mCacheWait.Inc()
+		case "disk":
+			mCacheDisk.Inc()
+		case "miss":
+			mCacheMiss.Inc()
+		default: // bypass and uncacheable
+			mCacheBypass.Inc()
+		}
+		sp.SetAttrs(obs.Str("cache", cache))
+		mExecRuns.Inc()
+		hExecDur.Observe(uint64(time.Since(start) / time.Microsecond))
+		if err != nil {
+			mExecErrors.Inc()
+			sp.SetAttrs(obs.Str("error", err.Error()))
+		}
+		if run != nil {
+			decided := 0
+			for _, d := range run.Decisions {
+				if d.Value != "" {
+					decided++
+				}
+			}
+			sp.SetAttrs(obs.Int("decided", decided))
+			if run.Edges != nil {
+				st := CollectStats(run)
+				sp.SetAttrs(obs.Int("messages", st.Messages), obs.Int("bytes", st.Bytes))
+			}
+		}
+		sp.End()
+	}
+	return run, err
 }
 
-// executeCore is the actual executor; key (possibly empty) becomes the
-// run's fingerprint.
-func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts, key string) (*Run, error) {
+// executeCore is the actual executor. cached reports that the run cache
+// will retain the run, which is what makes interning its strings pay.
+func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts, cached bool) (*Run, error) {
 	g := sys.G
 	n := g.N()
 	run := &Run{
@@ -316,7 +370,6 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 		Rounds:    rounds,
 		Inputs:    append([]Input(nil), sys.Inputs...),
 		Decisions: make([]Decision, n),
-		fp:        key,
 	}
 	if opts.RecordSnapshots {
 		run.Snapshots = make([][]string, n)
@@ -394,13 +447,13 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 	// distinct string so the duplicates become garbage within the round
 	// that produced them instead of living as long as the run does —
 	// which, with the run cache, is the life of the process. Fast mode
-	// retains neither, and uncacheable runs (key == "") die with their
+	// retains neither, and runs the cache does not keep die with their
 	// caller, so only cached full recordings pay the table's hash costs —
 	// for large payloads (signature chains) those are O(bytes) per
 	// delivery and would otherwise tax runs that gain nothing from them.
 	var internSnap map[string]string
 	var internPay map[Payload]Payload
-	if key != "" {
+	if cached {
 		if opts.RecordSnapshots {
 			internSnap = make(map[string]string, 2*n)
 		}

@@ -1,17 +1,11 @@
 package sim
 
-import (
-	"context"
-	"time"
+import "flm/internal/obs"
 
-	"flm/internal/obs"
-	"flm/internal/runcache"
-)
-
-// Observability for the executor hot path. ExecuteCtx branches here on
-// obs.Enabled() before touching any attribute or metric, so the
-// disabled engine runs the exact pre-instrumentation code path
-// (BenchmarkObsDisabled pins the zero-alloc claim).
+// Observability for the executor hot path. ExecuteCtx ticks these only
+// once obs.Enabled() has opened its span, so the disabled engine
+// allocates exactly what the executor does
+// (TestExecuteUntracedAllocsLikeExecutor pins it).
 var (
 	mExecRuns    = obs.NewCounter("sim.exec.runs")
 	mExecErrors  = obs.NewCounter("sim.exec.errors")
@@ -55,80 +49,4 @@ func (a *asyncAcct) flush() {
 	mAsyncDelayed.Add(a.delayed)
 	mAsyncLost.Add(a.lost)
 	mAsyncCollided.Add(a.collided)
-}
-
-// executeCtxTraced is ExecuteCtx's traced twin: same cache dispatch,
-// wrapped in a "sim.execute" span recording the system shape, how the
-// cache served the execution (hit / wait / disk / miss / bypass /
-// uncacheable),
-// the decision count, and — in full recording mode — the run's message
-// and byte totals from CollectStats.
-//
-//flmlint:allow flmobscost reached only from ExecuteCtx's obs.Enabled() branch
-//flmlint:allow flmdeterminism wall clock feeds span timing only, never the Run
-func executeCtxTraced(ctx context.Context, sys *System, rounds int, opts ExecuteOpts) (*Run, error) {
-	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, "sim.execute",
-		obs.Int("nodes", sys.G.N()),
-		obs.Int("rounds", rounds),
-		obs.Bool("snapshots", opts.RecordSnapshots),
-		obs.Bool("edges", opts.RecordEdges))
-
-	var (
-		run        *Run
-		err        error
-		cacheState = "bypass" // cancellable context or cache disabled
-		served     = false
-	)
-	if ctx.Done() == nil && runcache.Enabled() {
-		if key, ok := systemKey(sys, rounds, opts); ok {
-			var v any
-			var how runcache.How
-			v, how, err = runCache.DoHow(key, func() (any, error) {
-				return executeCore(ctx, sys, rounds, opts, key)
-			})
-			run, _ = v.(*Run)
-			served = true
-			cacheState = how.String() // miss / hit / wait / disk
-			switch how {
-			case runcache.Waited:
-				mCacheWait.Inc()
-			case runcache.Hit:
-				mCacheHit.Inc()
-			case runcache.DiskHit:
-				mCacheDisk.Inc()
-			default:
-				mCacheMiss.Inc()
-			}
-		} else {
-			cacheState = "uncacheable" // some device opted out of fingerprinting
-		}
-	}
-	if !served {
-		mCacheBypass.Inc()
-		run, err = executeCore(ctx, sys, rounds, opts, "")
-	}
-
-	sp.SetAttrs(obs.Str("cache", cacheState))
-	mExecRuns.Inc()
-	hExecDur.Observe(uint64(time.Since(start) / time.Microsecond))
-	if err != nil {
-		mExecErrors.Inc()
-		sp.SetAttrs(obs.Str("error", err.Error()))
-	}
-	if run != nil {
-		decided := 0
-		for _, d := range run.Decisions {
-			if d.Value != "" {
-				decided++
-			}
-		}
-		sp.SetAttrs(obs.Int("decided", decided))
-		if run.Edges != nil {
-			st := CollectStats(run)
-			sp.SetAttrs(obs.Int("messages", st.Messages), obs.Int("bytes", st.Bytes))
-		}
-	}
-	sp.End()
-	return run, err
 }

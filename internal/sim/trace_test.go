@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"testing"
 
 	"flm/internal/graph"
@@ -27,8 +26,8 @@ func traceSystem(t testing.TB) *System {
 	return sys
 }
 
-// TestExecuteTracedMatchesUntraced pins the traced twin to the plain
-// path: the same system executed with and without a tracer installed
+// TestExecuteTracedMatchesUntraced pins the traced path to the plain
+// one: the same system executed with and without a tracer installed
 // must record byte-identical runs (tracing observes, never perturbs).
 func TestExecuteTracedMatchesUntraced(t *testing.T) {
 	restoreCache := runcache.SetEnabled(false)
@@ -87,41 +86,5 @@ func TestObsDisabledGuardZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled guard allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkObsDisabled is the zero-overhead-when-disabled benchmark:
-// ExecuteCtx with no tracer installed, run cache off so every iteration
-// exercises the full executor rather than a memoized hit. Compare
-// against BenchmarkObsEnabled to see what a live tracer costs.
-func BenchmarkObsDisabled(b *testing.B) {
-	restoreCache := runcache.SetEnabled(false)
-	defer restoreCache()
-	sys := traceSystem(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteCtx(context.Background(), sys, 3, FullRecording); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkObsEnabled is the same workload with a tracer draining to
-// io.Discard: the measured delta vs BenchmarkObsDisabled is the whole
-// cost of span assembly and JSONL encoding on this path.
-func BenchmarkObsEnabled(b *testing.B) {
-	restoreCache := runcache.SetEnabled(false)
-	defer restoreCache()
-	tr := obs.NewTracer(io.Discard)
-	restore := obs.SetTracer(tr)
-	defer restore()
-	sys := traceSystem(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ExecuteCtx(context.Background(), sys, 3, FullRecording); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
