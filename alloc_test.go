@@ -31,6 +31,7 @@ var allocCanaries = []struct {
 	{"eig-resolve", 17620, 3001724, eigResolve},
 	{"async-sched", 17207, 891739, asyncSched},
 	{"cache-evict", 58525, 3214437, cacheEvict},
+	{"splice-record", 58539, 10117430, spliceRecord},
 }
 
 // TestAllocCanaries fails when a workload allocates more objects or bytes
@@ -79,12 +80,15 @@ func TestMeasureReportsPerOp(t *testing.T) {
 // measureAllocs runs fn from a cold run cache behind a GC fence and
 // returns the heap objects and bytes it allocated. Hits within the run —
 // chain builders re-splicing the same cover run — are still part of the
-// measured workload. An unmeasured run goes first: the first run in a
-// process also fills process-wide tables that no later run pays for (EIG
-// shapes are interned by fingerprint for the life of the process, about
-// 590 allocs on eig-resolve), and the ceilings' baselines, each the
-// fastest of three runs, exclude them too.
+// measured workload, so the cache is on whatever FLM_RUNCACHE says: the
+// ceilings are set with it on, and splice-record allocates 24% more
+// without it. An unmeasured run goes first: the first run in a process
+// also fills process-wide tables that no later run pays for (EIG shapes
+// are interned by fingerprint for the life of the process, about 590
+// allocs on eig-resolve), and the ceilings' baselines, each the fastest
+// of three runs, exclude them too.
 func measureAllocs(fn func() error) (allocs, bytes uint64, err error) {
+	defer runcache.SetEnabled(true)()
 	if err = fn(); err != nil {
 		return 0, 0, err
 	}
@@ -183,6 +187,28 @@ func asyncSched() error {
 		if rep := flm.CheckInitdead(run, live); !rep.OK() {
 			return fmt.Errorf("async-sched bench: seed %d: %v", v+1, rep.Err())
 		}
+	}
+	return nil
+}
+
+// spliceRecord isolates the full-recording path: Theorem 4's general
+// node bound on K6 (f=2, blocks {0,1}/{2,3}/{4,5}) against the firing
+// squad via EIG, 32 rounds. Every splice records a snapshot per node per
+// round, and the EIG trees stop growing once decided, so most rounds
+// repeat the state of the round before.
+func spliceRecord() error {
+	g := flm.Complete(6)
+	b := flm.NewFiringSquad(2, g.Names())
+	builders := map[string]flm.Builder{}
+	for _, name := range g.Names() {
+		builders[name] = b
+	}
+	cr, err := flm.ProveFiringSquadNodes(g, 2, []int{0, 1}, []int{2, 3}, []int{4, 5}, builders, "via-eig", 32)
+	if err != nil {
+		return err
+	}
+	if !cr.Contradicted() {
+		return fmt.Errorf("splice-record bench: expected a Theorem 4 violation")
 	}
 	return nil
 }

@@ -153,6 +153,7 @@ type eigFlatDevice struct {
 	decided   bool
 	decision  string
 	out       sim.Outbox
+	snap      string // last Snapshot; "" once Init or Step changes the tree or decision
 }
 
 var _ sim.Device = (*eigFlatDevice)(nil)
@@ -199,6 +200,7 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	d.extra = nil
 	d.decided = false
 	d.decision = ""
+	d.snap = ""
 }
 
 func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
@@ -215,6 +217,7 @@ func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if round == 0 {
 		// Self-delivery of the level-1 claim, then broadcast it.
 		d.vals[sh.offset[1]+d.selfIdx] = d.input
+		d.snap = ""
 		return d.broadcast(sim.Payload("=" + d.input))
 	}
 	d.finishAbsorb(round, inbox)
@@ -235,6 +238,7 @@ func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
 	if round == d.shape.f+1 {
 		d.decision = d.resolveRoot()
 		d.decided = true
+		d.snap = ""
 	}
 }
 
@@ -308,6 +312,7 @@ func (d *eigFlatDevice) absorbClaim(sender string, sIdx int, sPeer bool, claim s
 		slot := sh.offset[ln+1] + pos*sh.n + sIdx
 		if d.vals[slot] == "" { // first claim wins; duplicates are Byzantine noise
 			d.vals[slot] = v
+			d.snap = ""
 		}
 		return
 	}
@@ -319,6 +324,7 @@ func (d *eigFlatDevice) absorbClaim(sender string, sIdx int, sPeer bool, claim s
 			d.extra = map[string]string{}
 		}
 		d.extra[full] = v
+		d.snap = ""
 	}
 }
 
@@ -340,6 +346,7 @@ func (d *eigFlatDevice) claimsAndSelfDeliver(r int) []string {
 		child := sh.offset[r+1] + (s-lo)*sh.n + d.selfIdx
 		if d.vals[child] == "" {
 			d.vals[child] = v
+			d.snap = ""
 		}
 	}
 	if len(d.extra) > 0 {
@@ -355,6 +362,7 @@ func (d *eigFlatDevice) claimsAndSelfDeliver(r int) []string {
 			full := extendLabel(c[:eq], d.self)
 			if _, dup := d.extra[full]; !dup {
 				d.extra[full] = c[eq+1:]
+				d.snap = ""
 			}
 		}
 	}
@@ -422,13 +430,22 @@ func (d *eigFlatDevice) broadcast(p sim.Payload) sim.Outbox {
 }
 
 // Snapshot canonically encodes the whole EIG tree plus decision status,
-// byte-identical to eigMapDevice.Snapshot. The common case walks the
-// shape's presorted slot order; the extra map (non-peer senders only)
-// forces a merged sort.
+// byte-identical to eigMapDevice.Snapshot. The encoding is kept until
+// the state changes, so the rounds after the decision, where the tree no
+// longer grows, return the same string without encoding it again.
 func (d *eigFlatDevice) Snapshot() string {
 	if d.fb != nil {
 		return d.fb.Snapshot()
 	}
+	if d.snap == "" {
+		d.snap = d.encodeSnapshot()
+	}
+	return d.snap
+}
+
+// encodeSnapshot walks the shape's presorted slot order in the common
+// case; the extra map (non-peer senders only) forces a merged sort.
+func (d *eigFlatDevice) encodeSnapshot() string {
 	sh := d.shape
 	var b strings.Builder
 	fmt.Fprintf(&b, "eig(f=%d,in=%s,dec=%v:%s)", sh.f, d.input, d.decided, d.decision)

@@ -168,6 +168,7 @@ type simpleDevice struct {
 	decided     bool
 	decision    string
 	out         sim.Outbox
+	snap        string // last Snapshot; "" once Init or Step changes the state
 }
 
 var _ sim.Device = (*simpleDevice)(nil)
@@ -191,6 +192,7 @@ func (d *simpleDevice) Init(self string, neighbors []string, input sim.Input) {
 	if d.echoes != nil {
 		d.echoes = map[string]string{}
 	}
+	d.snap = ""
 }
 
 func (d *simpleDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
@@ -202,6 +204,7 @@ func (d *simpleDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
 		d.decision = d.decide(d)
+		d.snap = ""
 	}
 	d.out = sim.Broadcast(d.out, len(d.nbs), d.message(round))
 	return d.out
@@ -231,7 +234,7 @@ func (d *simpleDevice) ingest(sender string, payload sim.Payload, round int) {
 	s := string(payload)
 	if !strings.Contains(s, "=") {
 		// First-hand value.
-		d.view[sender] = boolOrDefault(s)
+		d.put(d.view, sender, boolOrDefault(s))
 		return
 	}
 	for _, part := range strings.Split(s, ";") {
@@ -241,14 +244,29 @@ func (d *simpleDevice) ingest(sender string, payload sim.Payload, round int) {
 		}
 		subject, v := part[:eq], boolOrDefault(part[eq+1:])
 		if subject == sender {
-			d.view[sender] = v
+			d.put(d.view, sender, v)
 		} else if d.echoes != nil {
-			d.echoes[sender+":"+subject] = v
+			d.put(d.echoes, sender+":"+subject, v)
 		}
 	}
 }
 
+// put sets m[k] = v, dropping the Snapshot memo only when the entry
+// changes: views and echoes settle after a few rounds, and a gossip round
+// that repeats them leaves the state as it was.
+func (d *simpleDevice) put(m map[string]string, k, v string) {
+	if old, ok := m[k]; !ok || old != v {
+		m[k] = v
+		d.snap = ""
+	}
+}
+
+// Snapshot encodes the state once per change; repeats return the same
+// string.
 func (d *simpleDevice) Snapshot() string {
+	if d.snap != "" {
+		return d.snap
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s(in=%s,dec=%v:%s)", d.kind, d.input, d.decided, d.decision)
 	appendMap := func(m map[string]string) {
@@ -268,7 +286,8 @@ func (d *simpleDevice) Snapshot() string {
 		b.WriteString("||")
 		appendMap(d.echoes)
 	}
-	return b.String()
+	d.snap = b.String()
+	return d.snap
 }
 
 func (d *simpleDevice) Output() (sim.Decision, bool) {

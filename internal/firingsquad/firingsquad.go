@@ -37,6 +37,8 @@ type viaBA struct {
 	inner     sim.Device
 	fired     bool
 	fireRound int
+	snap      string // last Snapshot; "" once Init or Step changes the state
+	innerSnap string // the inner snapshot that snap wraps
 }
 
 var _ sim.Device = (*viaBA)(nil)
@@ -67,6 +69,7 @@ func (d *viaBA) Init(self string, neighbors []string, input sim.Input) {
 	sort.Strings(d.neighbors)
 	d.stimulus = string(input) == "1"
 	d.fireRound = -1
+	d.snap = ""
 }
 
 // FireTime returns the round at which a positive outcome fires:
@@ -91,23 +94,33 @@ func (d *viaBA) Step(round int, inbox sim.Inbox) sim.Outbox {
 			}
 		}
 		d.inner = byzantine.NewEIG(d.f, d.peers)(d.self, d.neighbors, sim.BoolInput(d.heard))
+		d.snap = ""
 		return d.inner.Step(0, nil)
 	default:
 		out := d.inner.Step(round-1, inbox)
-		if dec, ok := d.inner.Output(); ok && dec.Value == "1" && round >= FireTime(d.f) {
+		if dec, ok := d.inner.Output(); ok && dec.Value == "1" && round >= FireTime(d.f) && !d.fired {
 			d.fired = true
 			d.fireRound = FireTime(d.f)
+			d.snap = ""
 		}
 		return out
 	}
 }
 
+// Snapshot wraps the inner EIG snapshot in the firing-squad state. The
+// wrapper is rebuilt only when either changes: the inner device returns
+// the very same string while its tree stands still, so the comparison is
+// a pointer check in the common case.
 func (d *viaBA) Snapshot() string {
-	innerSnap := "pre"
+	inner := "pre"
 	if d.inner != nil {
-		innerSnap = d.inner.Snapshot()
+		inner = d.inner.Snapshot()
 	}
-	return fmt.Sprintf("fs(stim=%v,heard=%v,fired=%v@%d)|%s", d.stimulus, d.heard, d.fired, d.fireRound, innerSnap)
+	if d.snap == "" || inner != d.innerSnap {
+		d.snap = fmt.Sprintf("fs(stim=%v,heard=%v,fired=%v@%d)|%s", d.stimulus, d.heard, d.fired, d.fireRound, inner)
+		d.innerSnap = inner
+	}
+	return d.snap
 }
 
 func (d *viaBA) Output() (sim.Decision, bool) {
@@ -131,6 +144,7 @@ type countdown struct {
 	origin    int // earliest claimed stimulus round; -1 if none heard
 	fired     bool
 	out       sim.Outbox
+	snap      string // last Snapshot; "" once Init or Step changes the state
 }
 
 var _ sim.Device = (*countdown)(nil)
@@ -159,6 +173,7 @@ func (d *countdown) Init(self string, neighbors []string, input sim.Input) {
 	if string(input) == "1" {
 		d.origin = 0
 	}
+	d.snap = ""
 }
 
 func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
@@ -169,10 +184,12 @@ func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
 		}
 		if k, err := sim.DecodeInt(s[1:]); err == nil && k >= 0 && (d.origin < 0 || k < d.origin) {
 			d.origin = k
+			d.snap = ""
 		}
 	}
-	if d.origin >= 0 && round >= d.origin+d.fuse {
+	if d.origin >= 0 && round >= d.origin+d.fuse && !d.fired {
 		d.fired = true
+		d.snap = ""
 	}
 	if d.origin < 0 {
 		return nil
@@ -181,8 +198,13 @@ func (d *countdown) Step(round int, inbox sim.Inbox) sim.Outbox {
 	return d.out
 }
 
+// Snapshot encodes the state once per change; repeats return the same
+// string.
 func (d *countdown) Snapshot() string {
-	return fmt.Sprintf("cd(fuse=%d,origin=%d,fired=%v)", d.fuse, d.origin, d.fired)
+	if d.snap == "" {
+		d.snap = fmt.Sprintf("cd(fuse=%d,origin=%d,fired=%v)", d.fuse, d.origin, d.fired)
+	}
+	return d.snap
 }
 
 func (d *countdown) Output() (sim.Decision, bool) {

@@ -6,6 +6,7 @@ import (
 
 	"flm/internal/adversary"
 	"flm/internal/graph"
+	"flm/internal/runcache"
 	"flm/internal/sim"
 )
 
@@ -204,6 +205,7 @@ func TestDeterministicAcrossExecutions(t *testing.T) {
 }
 
 func TestFingerprintJoinsRunCache(t *testing.T) {
+	defer runcache.SetEnabled(true)() // the hit below must not depend on FLM_RUNCACHE
 	d := New(2)("k0", []string{"k1", "k2", "k3", "k4"}, "1")
 	fp := sim.FingerprintOf(d)
 	if fp != "initdead/v1:t=2" {

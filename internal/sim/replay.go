@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -17,6 +18,7 @@ type ReplayDevice struct {
 	self    string
 	scripts map[string][]Payload // per-neighbor payload sequence, by name
 	ports   [][]Payload          // the same scripts by port; nil for a silent port
+	suffix  string               // ";nb" per scripted neighbor, sorted; "" until Snapshot joins it
 	round   int
 	out     Outbox // reused across Steps; see the Device Outbox contract
 }
@@ -67,7 +69,7 @@ func (d *ReplayDevice) Init(self string, neighbors []string, input Input) {
 			delete(d.scripts, nb)
 		}
 	}
-	d.ports, d.out = nil, nil
+	d.ports, d.out, d.suffix = nil, nil, ""
 	if len(d.scripts) > 0 {
 		d.ports = make([][]Payload, len(nbs))
 		for i, nb := range nbs {
@@ -94,19 +96,20 @@ func (d *ReplayDevice) Step(round int, inbox Inbox) Outbox {
 	return d.out
 }
 
-// Snapshot encodes the replay position and the scripts (canonical order).
+// Snapshot encodes the replay position and the scripted neighbors
+// (canonical order). Only the position changes from round to round, so
+// the neighbor tail is joined once, on the first call: runs that record
+// no snapshots never pay for it.
 func (d *ReplayDevice) Snapshot() string {
-	nbs := make([]string, 0, len(d.scripts))
-	for nb := range d.scripts {
-		nbs = append(nbs, nb)
+	if d.suffix == "" && len(d.scripts) > 0 {
+		nbs := make([]string, 0, len(d.scripts))
+		for nb := range d.scripts {
+			nbs = append(nbs, nb)
+		}
+		sort.Strings(nbs)
+		d.suffix = ";" + strings.Join(nbs, ";")
 	}
-	sort.Strings(nbs)
-	var b strings.Builder
-	fmt.Fprintf(&b, "replay@%d", d.round)
-	for _, nb := range nbs {
-		fmt.Fprintf(&b, ";%s", nb)
-	}
-	return b.String()
+	return "replay@" + strconv.Itoa(d.round) + d.suffix
 }
 
 // Output never decides: a faulty node's "choice" is irrelevant to every

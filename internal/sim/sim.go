@@ -85,8 +85,13 @@ type Outbox []Payload
 //
 // Snapshot must canonically encode the full device state so that two
 // devices are behaving identically iff their snapshot sequences are
-// equal. Output reports the device's choice once made; it must never
-// change after it is first reported (the executor enforces this).
+// equal. In full recording mode the executor calls Snapshot after every
+// Step, and most rounds leave the state as it was. A device whose state
+// did not change should return the identical string it returned last
+// time, by keeping its encoding until Init or Step changes the state;
+// the executor records such a repeat without hashing it again. Output
+// reports the device's choice once made; it must never change after it
+// is first reported (the executor enforces this).
 //
 // Devices must be deterministic: identical Init arguments and inbox
 // sequences must yield identical outboxes, snapshots, and outputs. This
@@ -534,7 +539,14 @@ func executeCore(ctx context.Context, sys *System, rounds int, opts ExecuteOpts,
 				if snapFault != nil && roundErr == nil {
 					roundErr = snapFault
 				}
-				if internSnap != nil {
+				switch {
+				case r > 0 && snap == run.Snapshots[u][r-1]:
+					// The state did not change: record last round's
+					// string again, with no intern hash. For a memoizing
+					// device it is usually the very string just
+					// returned, so the comparison stops at the pointers.
+					snap = run.Snapshots[u][r-1]
+				case internSnap != nil:
 					if c, ok := internSnap[snap]; ok {
 						snap = c
 					} else {

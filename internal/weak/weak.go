@@ -41,6 +41,7 @@ type detectDefault struct {
 	decided     bool
 	decision    string
 	out         sim.Outbox
+	snap        string // last Snapshot; "" once Init or Step changes the state
 }
 
 var _ sim.Device = (*detectDefault)(nil)
@@ -74,13 +75,14 @@ func (d *detectDefault) Init(self string, neighbors []string, input sim.Input) {
 		d.anomaly = true
 	}
 	d.views = map[string]string{self: d.input}
+	d.snap = ""
 }
 
 func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 	if round > 0 {
 		for i, nb := range d.nbs {
 			if inbox[i] == sim.None {
-				d.anomaly = true // silence is a fault symptom
+				d.flag() // silence is a fault symptom
 				continue
 			}
 			d.ingest(nb, string(inbox[i]))
@@ -89,11 +91,12 @@ func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 	// Any disagreement among seen values is an anomaly.
 	for _, v := range d.views {
 		if v != d.input {
-			d.anomaly = true
+			d.flag()
 		}
 	}
 	if !d.decided && round >= d.decideRound {
 		d.decided = true
+		d.snap = ""
 		if d.anomaly {
 			d.decision = byzantine.DefaultValue
 		} else {
@@ -124,38 +127,56 @@ func (d *detectDefault) encode() sim.Payload {
 	return sim.Payload(strings.Join(parts, "|"))
 }
 
+// flag records an anomaly, dropping the Snapshot memo only when it is
+// news: once set, the bit is re-raised every round a fault shows.
+func (d *detectDefault) flag() {
+	if !d.anomaly {
+		d.anomaly = true
+		d.snap = ""
+	}
+}
+
 func (d *detectDefault) ingest(sender, s string) {
 	parts := strings.Split(s, "|")
 	if len(parts) < 2 || (parts[0] != "0" && parts[0] != "1") {
-		d.anomaly = true
+		d.flag()
 		return
 	}
-	d.views[sender] = parts[0]
+	if d.views[sender] != parts[0] {
+		d.views[sender] = parts[0]
+		d.snap = ""
+	}
 	if parts[1] == "bad" {
-		d.anomaly = true
+		d.flag()
 	} else if parts[1] != "ok" {
-		d.anomaly = true
+		d.flag()
 	}
 	for _, kv := range parts[2:] {
 		eq := strings.IndexByte(kv, '=')
 		if eq < 0 {
-			d.anomaly = true
+			d.flag()
 			continue
 		}
 		subject, v := kv[:eq], kv[eq+1:]
 		if v != "0" && v != "1" {
-			d.anomaly = true
+			d.flag()
 			continue
 		}
 		if prev, seen := d.views[subject]; seen && prev != v {
-			d.anomaly = true // two different reports about one node
+			d.flag() // two different reports about one node
 		} else if !seen {
 			d.views[subject] = v
+			d.snap = ""
 		}
 	}
 }
 
+// Snapshot encodes the state once per change; repeats return the same
+// string.
 func (d *detectDefault) Snapshot() string {
+	if d.snap != "" {
+		return d.snap
+	}
 	keys := make([]string, 0, len(d.views))
 	for k := range d.views {
 		keys = append(keys, k)
@@ -166,7 +187,8 @@ func (d *detectDefault) Snapshot() string {
 	for _, k := range keys {
 		fmt.Fprintf(&b, "|%s=%s", k, d.views[k])
 	}
-	return b.String()
+	d.snap = b.String()
+	return d.snap
 }
 
 func (d *detectDefault) Output() (sim.Decision, bool) {
