@@ -10,7 +10,7 @@ import (
 )
 
 // maxEIGFlatSlots bounds the flat tree's slot space (sum of n^r over
-// levels 1..f+1); peer sets past the bound fall back to the map device.
+// levels 1..f+1); a peer set past the bound is a build fault.
 const maxEIGFlatSlots = 1 << 20
 
 // eigShape is the per-(f, peers) geometry of the flat EIG tree, shared by
@@ -28,7 +28,6 @@ const maxEIGFlatSlots = 1 << 20
 type eigShape struct {
 	f      int
 	n      int
-	peers  []string // sorted, distinct
 	index  map[string]int
 	offset []int // offset[r] = first slot of level r; offset[f+2] = total
 	labels []string
@@ -43,21 +42,30 @@ type eigShape struct {
 // trials building the same protocol share one geometry.
 var eigShapes sync.Map // fingerprint -> *eigShape
 
-// eigShapeFor returns the interned shape for (f, sortedPeers), or nil if
-// the flat representation cannot index this peer set: more than 64 peers
-// (membership masks are one word), duplicate or empty names, names
-// containing claim-codec delimiters, or a slot space past the cap.
-func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
+// eigShapeFor returns the interned shape for (f, sortedPeers), or an
+// error if the flat representation cannot index this peer set: no peers
+// or more than 64 (membership masks are one word), a negative fault
+// bound, duplicate or empty names, names containing claim-codec
+// delimiters, or a slot space past maxEIGFlatSlots.
+func eigShapeFor(f int, sortedPeers []string, fp string) (*eigShape, error) {
 	if v, ok := eigShapes.Load(fp); ok {
-		return v.(*eigShape)
+		return v.(*eigShape), nil
 	}
 	n := len(sortedPeers)
-	if n == 0 || n > 64 || f < 0 {
-		return nil
+	if n == 0 || n > 64 {
+		return nil, fmt.Errorf("byzantine: EIG indexes 1 to 64 peers, not %d", n)
+	}
+	if f < 0 {
+		return nil, fmt.Errorf("byzantine: EIG fault bound %d is negative", f)
 	}
 	for i, p := range sortedPeers {
-		if p == "" || strings.ContainsAny(p, ";=/") || (i > 0 && p == sortedPeers[i-1]) {
-			return nil
+		switch {
+		case p == "":
+			return nil, fmt.Errorf("byzantine: EIG peer name is empty")
+		case strings.ContainsAny(p, ";=/"):
+			return nil, fmt.Errorf("byzantine: EIG peer name %q contains a claim delimiter (;=/)", p)
+		case i > 0 && p == sortedPeers[i-1]:
+			return nil, fmt.Errorf("byzantine: EIG peer name %q is listed twice", p)
 		}
 	}
 	offset := make([]int, f+3)
@@ -65,13 +73,10 @@ func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
 	total := 0
 	for r := 1; r <= f+1; r++ {
 		offset[r] = total
-		if levelSize > maxEIGFlatSlots/n {
-			return nil
+		if levelSize > maxEIGFlatSlots/n || total > maxEIGFlatSlots-levelSize*n {
+			return nil, fmt.Errorf("byzantine: EIG tree for f=%d over %d peers exceeds %d slots", f, n, maxEIGFlatSlots)
 		}
 		levelSize *= n
-		if total > maxEIGFlatSlots-levelSize {
-			return nil
-		}
 		total += levelSize
 	}
 	offset[f+2] = total
@@ -79,7 +84,6 @@ func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
 	sh := &eigShape{
 		f:      f,
 		n:      n,
-		peers:  sortedPeers,
 		index:  make(map[string]int, n),
 		offset: offset,
 		labels: make([]string, total),
@@ -110,7 +114,7 @@ func eigShapeFor(f int, sortedPeers []string, fp string) *eigShape {
 		}
 	}
 	actual, _ := eigShapes.LoadOrStore(fp, sh)
-	return actual.(*eigShape)
+	return actual.(*eigShape), nil
 }
 
 // sortedSlots returns the valid slots in lexicographic label order,
@@ -130,62 +134,56 @@ func (sh *eigShape) sortedSlots() []int32 {
 	return sh.sorted
 }
 
-// eigFlatDevice is the hot-path EIG implementation: the tree lives in a
-// contiguous value slice indexed by the shared shape, claims are parsed
-// without splitting, and resolution runs on (level, position) pairs with
-// small-slice tallies instead of maps. It is observably identical to
-// eigMapDevice (TestFlatEIGMatchesMapReference pins this).
+// eigFlatDevice is the EIG device. It builds the EIG tree over f+1
+// relay levels: level-r labels are sequences of r distinct peer names,
+// and val(σ·j) is what j reported for label σ. After the final level it
+// resolves the tree bottom-up by strict majority and decides the root
+// value. The tree lives in a contiguous value slice indexed by the
+// shared shape, claims are parsed without splitting, and resolution runs
+// on (level, position) pairs with small-slice tallies instead of maps.
 //
-// Claims relayed by senders outside the peer set — legal Byzantine noise
-// the map device stores under labels the flat slot space cannot index —
-// go to the extra map, which is nil on every honest execution.
+// A map-keyed reference implementation lives in the tests as its oracle
+// (TestFlatEIGMatchesMapReference).
 type eigFlatDevice struct {
-	shape     *eigShape
-	fb        *eigMapDevice // fallback when self is outside the peer index
-	self      string
-	selfIdx   int
-	neighbors []string
-	portPeer  []int // port -> peer digit; -1 for a neighbor outside the peer set
-	input     string
-	vals      []string // slot -> value; "" = absent (stored values are never empty)
-	extra     map[string]string
-	claims    []string
-	decided   bool
-	decision  string
-	out       sim.Outbox
-	snap      string // last Snapshot; "" once Init or Step changes the tree or decision
+	shape    *eigShape
+	selfIdx  int
+	portPeer []int // port -> peer digit
+	input    string
+	vals     []string // slot -> value; "" = absent (stored values are never empty)
+	claims   []string
+	decided  bool
+	decision string
+	out      sim.Outbox
+	snap     string // last Snapshot; "" once Init or Step changes the tree or decision
 }
 
 var _ sim.Device = (*eigFlatDevice)(nil)
 var _ sim.Fingerprinter = (*eigFlatDevice)(nil)
 
+// DeviceFingerprint is the constructor identity: fault bound and peer
+// set. Everything else the device does is determined by these plus the
+// (self, neighbors, input) triple the execution cache keys separately.
 func (d *eigFlatDevice) DeviceFingerprint() string { return d.shape.fp }
 
 func (d *eigFlatDevice) Init(self string, neighbors []string, input sim.Input) {
 	d.init(self, sortedNames(neighbors), input)
 }
 
-// init takes ownership of the sorted neighbors slice.
+// init reads the sorted neighbors slice. It panics if self or a
+// neighbor is outside the peer set: labels ending in that name have no
+// slot.
 func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 	sh := d.shape
 	idx, ok := sh.index[self]
 	if !ok {
-		// A device whose own node is not a peer stores labels ending in
-		// its own name, which the slot space cannot index: delegate to
-		// the reference implementation.
-		d.fb = &eigMapDevice{f: sh.f, peers: sh.peers, fp: sh.fp}
-		d.fb.init(self, neighbors, input)
-		return
+		panic(fmt.Errorf("byzantine: EIG self %q is not in the peer set", self))
 	}
-	d.fb = nil
-	d.self = self
 	d.selfIdx = idx
-	d.neighbors = neighbors
 	d.portPeer = make([]int, len(neighbors))
 	for i, nb := range neighbors {
 		j, ok := sh.index[nb]
 		if !ok {
-			j = -1
+			panic(fmt.Errorf("byzantine: EIG neighbor %q of %q is not in the peer set", nb, self))
 		}
 		d.portPeer[i] = j
 	}
@@ -197,16 +195,15 @@ func (d *eigFlatDevice) init(self string, neighbors []string, input sim.Input) {
 			d.vals[i] = ""
 		}
 	}
-	d.extra = nil
 	d.decided = false
 	d.decision = ""
 	d.snap = ""
 }
 
+// Step implements the EIG schedule: Step(0) broadcasts the input (level-1
+// claims); Step(r) for 1 <= r <= f absorbs level-r claims and relays
+// level-(r+1) claims; Step(f+1) absorbs the final level and decides.
 func (d *eigFlatDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
-	if d.fb != nil {
-		return d.fb.Step(round, inbox)
-	}
 	sh := d.shape
 	if round > sh.f+1 || d.decided {
 		if round == sh.f+1 && !d.decided {
@@ -243,16 +240,15 @@ func (d *eigFlatDevice) finishAbsorb(round int, inbox sim.Inbox) {
 }
 
 // absorb records the claims of a round-(level) payload received on the
-// given port, storing val(σ·sender) = v for each well-formed claim. The
-// payload is walked in place (the claim codec is flat: claims split on
-// ';', label from value at the first '='), matching eigMapDevice.absorb
-// claim for claim.
+// given port, storing val(σ·sender) = v for each well-formed claim (σ, v)
+// with |σ| = level-1, sender ∉ σ, and every name of σ a distinct peer.
+// The payload is walked in place (the claim codec is flat: claims split
+// on ';', label from value at the first '=').
 func (d *eigFlatDevice) absorb(port int, payload sim.Payload, level int) {
 	if payload == sim.None {
 		return
 	}
-	sender, sIdx := d.neighbors[port], d.portPeer[port]
-	sPeer := sIdx >= 0
+	sIdx := d.portPeer[port]
 	s := string(payload)
 	for {
 		claim := s
@@ -260,14 +256,14 @@ func (d *eigFlatDevice) absorb(port int, payload sim.Payload, level int) {
 		if next >= 0 {
 			claim, s = s[:next], s[next+1:]
 		}
-		d.absorbClaim(sender, sIdx, sPeer, claim, level)
+		d.absorbClaim(sIdx, claim, level)
 		if next < 0 {
 			return
 		}
 	}
 }
 
-func (d *eigFlatDevice) absorbClaim(sender string, sIdx int, sPeer bool, claim string, level int) {
+func (d *eigFlatDevice) absorbClaim(sIdx int, claim string, level int) {
 	eq := strings.IndexByte(claim, '=')
 	if eq < 0 {
 		return
@@ -275,8 +271,7 @@ func (d *eigFlatDevice) absorbClaim(sender string, sIdx int, sPeer bool, claim s
 	label, v := claim[:eq], sanitizeValue(claim[eq+1:])
 	sh := d.shape
 	// Parse the label into (position, membership, length); any component
-	// that is empty, repeated, or not a peer makes the label invalid,
-	// exactly as the reference's validLabel.
+	// that is empty, repeated, or not a peer makes the label invalid.
 	pos, mask, ln := 0, uint64(0), 0
 	if label != "" {
 		rest := label
@@ -302,28 +297,12 @@ func (d *eigFlatDevice) absorbClaim(sender string, sIdx int, sPeer bool, claim s
 			}
 		}
 	}
-	if ln != level-1 {
-		return
+	if ln != level-1 || mask&(uint64(1)<<uint(sIdx)) != 0 {
+		return // wrong level, or the sender already appears in the label
 	}
-	if sPeer {
-		if mask&(uint64(1)<<uint(sIdx)) != 0 {
-			return // sender already appears in the label
-		}
-		slot := sh.offset[ln+1] + pos*sh.n + sIdx
-		if d.vals[slot] == "" { // first claim wins; duplicates are Byzantine noise
-			d.vals[slot] = v
-			d.snap = ""
-		}
-		return
-	}
-	// Non-peer sender: the label σ·sender has no slot; keep the
-	// reference semantics in the overflow map.
-	full := extendLabel(label, sender)
-	if _, dup := d.extra[full]; !dup {
-		if d.extra == nil {
-			d.extra = map[string]string{}
-		}
-		d.extra[full] = v
+	slot := sh.offset[ln+1] + pos*sh.n + sIdx
+	if d.vals[slot] == "" { // first claim wins; duplicates are Byzantine noise
+		d.vals[slot] = v
 		d.snap = ""
 	}
 }
@@ -349,23 +328,6 @@ func (d *eigFlatDevice) claimsAndSelfDeliver(r int) []string {
 			d.snap = ""
 		}
 	}
-	if len(d.extra) > 0 {
-		start := len(claims)
-		for label, v := range d.extra {
-			if labelLen(label) != r || labelContains(label, d.self) {
-				continue
-			}
-			claims = append(claims, label+"="+v)
-		}
-		for _, c := range claims[start:] {
-			eq := strings.IndexByte(c, '=')
-			full := extendLabel(c[:eq], d.self)
-			if _, dup := d.extra[full]; !dup {
-				d.extra[full] = c[eq+1:]
-				d.snap = ""
-			}
-		}
-	}
 	sort.Strings(claims)
 	d.claims = claims
 	return claims
@@ -375,7 +337,7 @@ func (d *eigFlatDevice) claimsAndSelfDeliver(r int) []string {
 // to their stored value, internal positions to the strict majority of
 // their children, DefaultValue on ties or missing data. The per-level
 // tallies run over small parallel slices; ties break to the smallest
-// value exactly as the reference's sorted-key scan.
+// value.
 func (d *eigFlatDevice) resolveRoot() string {
 	sh := d.shape
 	vbuf := make([][]string, sh.f+1)
@@ -425,65 +387,39 @@ func (d *eigFlatDevice) resolveRoot() string {
 }
 
 func (d *eigFlatDevice) broadcast(p sim.Payload) sim.Outbox {
-	d.out = sim.Broadcast(d.out, len(d.neighbors), p)
+	d.out = sim.Broadcast(d.out, len(d.portPeer), p)
 	return d.out
 }
 
-// Snapshot canonically encodes the whole EIG tree plus decision status,
-// byte-identical to eigMapDevice.Snapshot. The encoding is kept until
-// the state changes, so the rounds after the decision, where the tree no
-// longer grows, return the same string without encoding it again.
+// Snapshot canonically encodes the whole EIG tree plus decision status:
+// every stored label=value pair in label order. The encoding is kept
+// until the state changes, so the rounds after the decision, where the
+// tree no longer grows, return the same string without encoding it
+// again.
 func (d *eigFlatDevice) Snapshot() string {
-	if d.fb != nil {
-		return d.fb.Snapshot()
-	}
 	if d.snap == "" {
 		d.snap = d.encodeSnapshot()
 	}
 	return d.snap
 }
 
-// encodeSnapshot walks the shape's presorted slot order in the common
-// case; the extra map (non-peer senders only) forces a merged sort.
+// encodeSnapshot walks the shape's presorted slot order.
 func (d *eigFlatDevice) encodeSnapshot() string {
 	sh := d.shape
 	var b strings.Builder
 	fmt.Fprintf(&b, "eig(f=%d,in=%s,dec=%v:%s)", sh.f, d.input, d.decided, d.decision)
-	if len(d.extra) == 0 {
-		for _, s := range sh.sortedSlots() {
-			if v := d.vals[s]; v != "" {
-				b.WriteByte('|')
-				b.WriteString(sh.labels[s])
-				b.WriteByte('=')
-				b.WriteString(v)
-			}
-		}
-		return b.String()
-	}
-	type labelValue struct{ label, value string }
-	pairs := make([]labelValue, 0, len(d.extra)+len(d.vals)/4)
 	for _, s := range sh.sortedSlots() {
 		if v := d.vals[s]; v != "" {
-			pairs = append(pairs, labelValue{sh.labels[s], v})
+			b.WriteByte('|')
+			b.WriteString(sh.labels[s])
+			b.WriteByte('=')
+			b.WriteString(v)
 		}
-	}
-	for l, v := range d.extra {
-		pairs = append(pairs, labelValue{l, v})
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].label < pairs[j].label })
-	for _, p := range pairs {
-		b.WriteByte('|')
-		b.WriteString(p.label)
-		b.WriteByte('=')
-		b.WriteString(p.value)
 	}
 	return b.String()
 }
 
 func (d *eigFlatDevice) Output() (sim.Decision, bool) {
-	if d.fb != nil {
-		return d.fb.Output()
-	}
 	if !d.decided {
 		return sim.Decision{}, false
 	}

@@ -1,10 +1,13 @@
 package byzantine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"flm/internal/graph"
 	"flm/internal/sim"
 )
 
@@ -44,11 +47,11 @@ func randomClaimPayload(rng *rand.Rand, peers []string) sim.Payload {
 	return sim.Payload(payload)
 }
 
-// TestFlatEIGMatchesMapReference drives the flat device and the retained
-// map-based reference through identical randomized schedules — random
-// inputs, random Byzantine inboxes including non-peer senders — and
-// requires identical payloads, snapshots, decisions, and fingerprints at
-// every step.
+// TestFlatEIGMatchesMapReference drives the flat device and the
+// map-based reference (eigmap_test.go) through identical randomized
+// schedules — random inputs, random Byzantine inboxes — and requires
+// identical payloads, snapshots, decisions, and fingerprints at every
+// step.
 func TestFlatEIGMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for trial := 0; trial < 300; trial++ {
@@ -62,14 +65,12 @@ func TestFlatEIGMatchesMapReference(t *testing.T) {
 		input := []string{"0", "1", "5", "", "a;b"}[rng.Intn(5)]
 
 		fp := fmt.Sprintf("byz/eig:f=%d,peers=%s", f, joinPeers(peers))
-		shape := eigShapeFor(f, append([]string(nil), peers...), fp)
-		if shape == nil {
-			t.Fatalf("trial %d: shape unexpectedly ineligible", trial)
+		shape, err := eigShapeFor(f, append([]string(nil), peers...), fp)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		// The neighbors (already in port order) are every peer plus a
-		// non-peer, whose port carries legal Byzantine noise from outside
-		// the peer set.
-		nbs := append([]string{"outsider"}, peers...)
+		// The neighbors (already in port order) are every peer.
+		nbs := append([]string(nil), peers...)
 		flat := &eigFlatDevice{shape: shape}
 		flat.Init(self, nbs, sim.Input(input))
 		ref := &eigMapDevice{f: f, peers: append([]string(nil), peers...)}
@@ -81,7 +82,7 @@ func TestFlatEIGMatchesMapReference(t *testing.T) {
 		for round := 0; round < EIGRounds(f)+1; round++ {
 			inbox := make(sim.Inbox, len(nbs))
 			for i, p := range nbs {
-				if p == self || rng.Intn(4) == 0 || (p == "outsider" && rng.Intn(3) != 0) {
+				if p == self || rng.Intn(4) == 0 {
 					continue // silent port
 				}
 				inbox[i] = randomClaimPayload(rng, peers)
@@ -119,57 +120,72 @@ func joinPeers(sorted []string) string {
 	return out
 }
 
-// TestFlatEIGOutsiderSelfFallsBack: a device initialized at a node
-// outside the peer set delegates to the reference implementation and
-// stays observably identical to it.
-func TestFlatEIGOutsiderSelfFallsBack(t *testing.T) {
-	peers := []string{"a", "b", "c", "d"}
-	fp := fmt.Sprintf("byz/eig:f=%d,peers=%s", 1, joinPeers(peers))
-	shape := eigShapeFor(1, peers, fp)
-	if shape == nil {
-		t.Fatal("shape ineligible")
-	}
-	flat := &eigFlatDevice{shape: shape}
-	flat.Init("zz", peers, "1")
-	if flat.fb == nil {
-		t.Fatal("outsider self did not fall back to the map device")
-	}
-	ref := &eigMapDevice{f: 1, peers: peers}
-	ref.Init("zz", peers, "1")
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < EIGRounds(1); round++ {
-		inbox := sim.Inbox{randomClaimPayload(rng, peers), "=1", sim.None, sim.None}
-		outFlat, outRef := flat.Step(round, inbox), ref.Step(round, inbox)
-		for i, p := range outRef {
-			if outFlat[i] != p {
-				t.Fatalf("round %d: payload to %s differs", round, peers[i])
-			}
-		}
-		if flat.Snapshot() != ref.Snapshot() {
-			t.Fatalf("round %d: snapshots differ:\n%s\n%s", round, flat.Snapshot(), ref.Snapshot())
-		}
+// TestNewEIGUsesFlatDevice pins that the builder actually selects the
+// flat implementation.
+func TestNewEIGUsesFlatDevice(t *testing.T) {
+	d := NewEIG(1, []string{"a", "b", "c", "d"})("a", []string{"b", "c", "d"}, "1")
+	if _, ok := d.(*eigFlatDevice); !ok {
+		t.Fatalf("builder returned %T, want *eigFlatDevice", d)
 	}
 }
 
-// TestNewEIGUsesFlatDevice pins that the builder actually selects the
-// flat implementation for ordinary peer sets (the perf path is the
-// default, not a lucky accident).
-func TestNewEIGUsesFlatDevice(t *testing.T) {
-	d := NewEIG(1, []string{"a", "b", "c", "d"})("a", []string{"b", "c", "d"}, "1")
-	fd, ok := d.(*eigFlatDevice)
-	if !ok {
-		t.Fatalf("builder returned %T, want *eigFlatDevice", d)
+// TestNewEIGRejectsUnindexablePeers: every input the flat tree cannot
+// index is a build fault at the node being built, not a silent fallback.
+func TestNewEIGRejectsUnindexablePeers(t *testing.T) {
+	many := make([]string, 65)
+	for i := range many {
+		many[i] = fmt.Sprintf("q%02d", i)
 	}
-	if fd.fb != nil {
-		t.Fatal("flat device fell back to the map reference for a peer self")
+	cases := []struct {
+		name     string
+		nodes    []string
+		builders func(g *graph.Graph) map[string]sim.Builder
+		node     string // the node whose build faults
+		want     string // substring of the panic value
+	}{
+		{"65 peers", []string{"q00", "q01"}, func(g *graph.Graph) map[string]sim.Builder {
+			return uniform(g, NewEIG(1, many))
+		}, "q00", "not 65"},
+		{"delimiter in name", []string{"a", "b/c", "d"}, func(g *graph.Graph) map[string]sim.Builder {
+			return uniform(g, NewEIG(1, g.Names()))
+		}, "a", `"b/c"`},
+		{"self outside peers", []string{"a", "b", "c"}, func(g *graph.Graph) map[string]sim.Builder {
+			bs := uniform(g, NewEIG(1, g.Names()))
+			bs["c"] = NewEIG(1, []string{"a", "b"})
+			return bs
+		}, "c", `self "c"`},
+		{"neighbor outside peers", []string{"a", "b", "c"}, func(g *graph.Graph) map[string]sim.Builder {
+			bs := uniform(g, NewEIG(1, g.Names()))
+			bs["b"] = NewEIG(1, []string{"a", "b"})
+			return bs
+		}, "b", `neighbor "c"`},
 	}
-	// And a peer set the flat shape cannot index falls back cleanly.
-	big := make([]string, 70)
-	for i := range big {
-		big[i] = fmt.Sprintf("q%02d", i)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.CompleteNamed(tc.nodes...)
+			p := sim.Protocol{Builders: tc.builders(g), Inputs: map[string]sim.Input{}}
+			for _, name := range tc.nodes {
+				p.Inputs[name] = "1"
+			}
+			_, err := sim.NewSystem(g, p)
+			var fault *sim.DeviceFault
+			if !errors.As(err, &fault) {
+				t.Fatalf("NewSystem error %v is not a *sim.DeviceFault", err)
+			}
+			if fault.Op != sim.OpBuild || fault.Node != tc.node {
+				t.Fatalf("fault at node %q in %s, want node %q in %s", fault.Node, fault.Op, tc.node, sim.OpBuild)
+			}
+			if msg := fmt.Sprint(fault.Value); !strings.Contains(msg, tc.want) {
+				t.Fatalf("fault value %q does not mention %s", msg, tc.want)
+			}
+		})
 	}
-	d = NewEIG(1, big)(big[0], big[1:], "1")
-	if _, ok := d.(*eigMapDevice); !ok {
-		t.Fatalf("builder returned %T for 70 peers, want *eigMapDevice", d)
+}
+
+func uniform(g *graph.Graph, b sim.Builder) map[string]sim.Builder {
+	bs := make(map[string]sim.Builder, g.N())
+	for _, name := range g.Names() {
+		bs[name] = b
 	}
+	return bs
 }

@@ -31,7 +31,7 @@ var _ sim.Device = (*phaseKingDevice)(nil)
 var _ sim.Fingerprinter = (*phaseKingDevice)(nil)
 
 // DeviceFingerprint is the constructor identity: fault bound and peer
-// set (see eigMapDevice.DeviceFingerprint).
+// set (see eigFlatDevice.DeviceFingerprint).
 func (d *phaseKingDevice) DeviceFingerprint() string {
 	if d.fp == "" {
 		d.fp = fmt.Sprintf("byz/phaseking:f=%d,peers=%s", d.f, strings.Join(d.peers, ","))

@@ -230,6 +230,19 @@ func TestCIBuildsPerfbench(t *testing.T) {
 	}
 }
 
+// TestCITestsCacheOffOneWorker: results must not depend on the worker
+// count or the cache state, so the verify job also runs the suite with
+// the run cache and its disk tier off on the one-worker sweep pool.
+func TestCITestsCacheOffOneWorker(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)run:\s+FLM_RUNCACHE=off FLM_CACHE_DIR=off FLM_WORKERS=1 go test \./\.\.\.\s*$`).MatchString(ciJob(t, string(data), "verify")) {
+		t.Error("CI verify job no longer runs the suite with the cache off at one worker")
+	}
+}
+
 // TestExperimentConstsPinned: E18/E20 run the exact smoke pairs. The
 // consts alias chaos's, so this is a tripwire against someone
 // re-hardcoding them.

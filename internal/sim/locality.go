@@ -36,11 +36,12 @@ func CheckLocality(run *Run, nodes []string, builders map[string]Builder) (*Run,
 			p.Builders[name] = b
 			continue
 		}
-		// Outside node: replay its recorded traffic on every outedge.
+		// Outside node: replay its recorded traffic on every outedge. The
+		// replay device only reads its scripts, so they share the run's.
 		scripts := make(map[string][]Payload)
 		for _, v := range g.Neighbors(u) {
 			e := graph.Edge{From: name, To: g.Name(v)}
-			scripts[g.Name(v)] = append([]Payload(nil), run.Edges[e]...)
+			scripts[g.Name(v)] = run.Edges[e]
 		}
 		p.Builders[name] = ReplayBuilder(scripts)
 	}

@@ -12,6 +12,10 @@ import (
 // and the traffic on the inedge border (what the rest of the system
 // showed them). Two scenarios being equal (up to node renaming) is the
 // conclusion of the paper's Locality axiom.
+//
+// A scenario is a read-only view of its run: its snapshot and payload
+// sequences are the run's own slices, not copies (a Run is immutable
+// once executed), so neither may be written through the other.
 type Scenario struct {
 	Nodes     []string                 // sorted node names
 	Snapshots map[string][]string      // per node state sequence
@@ -50,15 +54,15 @@ func Extract(run *Run, nodes []string) (*Scenario, error) {
 	sort.Strings(sc.Nodes)
 	for _, u := range idx {
 		name := run.G.Name(u)
-		sc.Snapshots[name] = append([]string(nil), run.Snapshots[u]...)
+		sc.Snapshots[name] = run.Snapshots[u]
 		sc.Decisions[name] = run.Decisions[u]
 	}
 	for e, seq := range run.Edges {
 		switch {
 		case inSet[e.From] && inSet[e.To]:
-			sc.Internal[e] = append([]Payload(nil), seq...)
+			sc.Internal[e] = seq
 		case inSet[e.To]:
-			sc.Border[e] = append([]Payload(nil), seq...)
+			sc.Border[e] = seq
 		}
 	}
 	return sc, nil

@@ -1,4 +1,4 @@
-// Fault-isolated sweeps. Map/Each assume trial functions are well
+// Fault-isolated sweeps. Map assumes trial functions are well
 // behaved: a panicking trial kills the process and an infinite loop hangs
 // the pool forever. Isolated drops both assumptions — it is the execution
 // mode for trials wrapping *arbitrary* user-supplied devices (the chaos
@@ -92,12 +92,9 @@ func Isolated[T any](ctx context.Context, n int, o Opts, fn func(i int) (T, erro
 	if workers <= 0 {
 		workers = Workers()
 	}
-	if workers > n {
-		workers = n
-	}
-	traced := obs.Enabled()
+	workers = min(workers, n)
 	var sweepSpan *obs.Span
-	if traced {
+	if obs.Enabled() {
 		ctx, sweepSpan = obs.StartSpan(ctx, "sweep.isolated",
 			obs.Int("trials", n), obs.Int("workers", workers),
 			obs.Int64("timeout_us", int64(o.Timeout/time.Microsecond)))
@@ -105,61 +102,12 @@ func Isolated[T any](ctx context.Context, n int, o Opts, fn func(i int) (T, erro
 		ticket := obs.ProgressSweepStart(n)
 		defer ticket.Finish()
 	}
-	type claim struct{ i int }
-	work := make(chan claim)
-	done := make(chan struct{})
-	go func() {
-		defer close(work)
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				for j := i; j < n; j++ {
-					errs[j] = &TrialFault{Trial: j, Err: fmt.Errorf("not started: %w", ctx.Err())}
-				}
-				return
-			}
-			select {
-			case work <- claim{i}:
-			case <-ctx.Done():
-				for j := i; j < n; j++ {
-					errs[j] = &TrialFault{Trial: j, Err: fmt.Errorf("not started: %w", ctx.Err())}
-				}
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			var wo *workerObs
-			var ws *obs.Span
-			var started time.Time
-			if traced {
-				_, ws = obs.StartSpan(ctx, "sweep.worker", obs.Int("worker", w))
-				started = time.Now()
-				wo = &workerObs{worker: w}
-			}
-			doLabeled(ctx, w, func() {
-				for c := range work {
-					var t0 time.Time
-					if wo != nil {
-						t0 = wo.begin()
-					}
-					results[c.i], errs[c.i] = runIsolated(ctx, c.i, o.Timeout, fn)
-					if wo != nil {
-						wo.record(time.Since(t0))
-						if errs[c.i] != nil {
-							wo.fault()
-						}
-					}
-				}
-			})
-			if wo != nil {
-				wo.finish(ws, started)
-			}
-			done <- struct{}{}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
+	started := pool(ctx, n, workers, func() bool { return ctx.Err() != nil }, func(i int) bool {
+		results[i], errs[i] = runIsolated(ctx, i, o.Timeout, fn)
+		return errs[i] != nil
+	})
+	for i := started; i < n; i++ {
+		errs[i] = &TrialFault{Trial: i, Err: fmt.Errorf("not started: %w", ctx.Err())}
 	}
 	if sweepSpan != nil {
 		sweepSpan.SetAttrs(obs.Int("faults", FaultCount(errs)))
@@ -195,21 +143,17 @@ func runIsolated[T any](ctx context.Context, i int, budget time.Duration, fn fun
 		ch <- outcome{v, nil}
 	}()
 
-	var zero T
-	if budget <= 0 {
-		select {
-		case o := <-ch:
-			return o.v, o.err
-		case <-ctx.Done():
-			return zero, &TrialFault{Trial: i, Err: fmt.Errorf("abandoned: %w", ctx.Err())}
-		}
+	var timeout <-chan time.Time // nil without a budget: never fires
+	if budget > 0 {
+		timer := time.NewTimer(budget)
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
+	var zero T
 	select {
 	case o := <-ch:
 		return o.v, o.err
-	case <-timer.C:
+	case <-timeout:
 		return zero, &TrialFault{Trial: i, Timeout: true, Budget: budget}
 	case <-ctx.Done():
 		return zero, &TrialFault{Trial: i, Err: fmt.Errorf("abandoned: %w", ctx.Err())}

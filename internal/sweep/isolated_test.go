@@ -159,29 +159,35 @@ func TestIsolatedWrapsPlainErrors(t *testing.T) {
 	}
 }
 
-// TestIsolatedCancellation: a cancelled context stops new trials; the
-// unstarted ones carry ctx-wrapped faults.
+// TestIsolatedCancellation: a cancelled context stops new trials; every
+// trial that never ran carries a ctx-wrapped fault.
 func TestIsolatedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{}, 1024)
-	_, errs := Isolated(ctx, 1024, Opts{Workers: 2}, func(i int) (int, error) {
-		started <- struct{}{}
+	const n = 1024
+	var ran [n]atomic.Bool
+	_, errs := Isolated(ctx, n, Opts{Workers: 2}, func(i int) (int, error) {
+		ran[i].Store(true)
 		if i == 0 {
 			cancel()
 		}
 		return i, nil
 	})
-	if len(started) == 1024 {
-		t.Fatal("cancellation did not stop the sweep")
-	}
-	cancelled := 0
-	for _, err := range errs {
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("unexpected error kind: %v", err)
-			}
-			cancelled++
+	started, cancelled := 0, 0
+	for i, err := range errs {
+		if ran[i].Load() {
+			started++
 		}
+		switch {
+		case err != nil && !errors.Is(err, context.Canceled):
+			t.Fatalf("trial %d: unexpected error kind: %v", i, err)
+		case err != nil:
+			cancelled++
+		case !ran[i].Load():
+			t.Fatalf("trial %d never ran but reports no error", i)
+		}
+	}
+	if started == n {
+		t.Fatal("cancellation did not stop the sweep")
 	}
 	if cancelled == 0 {
 		t.Fatal("no trial reported the cancellation")
@@ -204,24 +210,5 @@ func TestIsolatedDeterministicResults(t *testing.T) {
 		if one[i] != four[i] {
 			t.Fatalf("results diverge at %d: %d vs %d", i, one[i], four[i])
 		}
-	}
-}
-
-// TestMapCtxCancellation: the ordinary Map path also honors its context.
-func TestMapCtxCancellation(t *testing.T) {
-	defer SetWorkers(SetWorkers(2))
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	_, err := MapCtx(ctx, 100_000, func(i int) (int, error) {
-		if ran.Add(1) == 10 {
-			cancel()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if ran.Load() == 100_000 {
-		t.Fatal("cancellation did not stop the sweep")
 	}
 }

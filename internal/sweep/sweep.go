@@ -31,8 +31,7 @@ import (
 )
 
 // WorkersEnv is the environment variable that overrides the worker count
-// for every sweep (0 or unset means GOMAXPROCS). The cmd/flm binary also
-// exposes this as a flag.
+// for every sweep (0 or unset means GOMAXPROCS).
 const WorkersEnv = "FLM_WORKERS"
 
 // overrideWorkers is a process-wide override set by SetWorkers; 0 means
@@ -41,7 +40,7 @@ var overrideWorkers atomic.Int64
 
 // SetWorkers fixes the worker count for subsequent sweeps (n <= 0
 // restores the default resolution order). It returns the previous
-// override. Intended for the CLI flag and for tests that pin parallelism.
+// override. Intended for benchmarks and tests that pin parallelism.
 func SetWorkers(n int) int {
 	if n < 0 {
 		n = 0
@@ -90,24 +89,13 @@ func Workers() int {
 // not share mutable state; everything a trial touches should be built
 // inside fn or be read-only (graphs, builders, parameter structs).
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with a cancellation path: when ctx is done, workers stop
-// claiming new trials (already-running trials complete) and the sweep
-// returns ctx.Err() unless a lower-indexed trial already failed with its
-// own error.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
 	}
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
-	traced := obs.Enabled()
-	if traced {
+	workers := min(Workers(), n)
+	ctx := context.Background()
+	if obs.Enabled() {
 		var sweepSpan *obs.Span
 		ctx, sweepSpan = obs.StartSpan(ctx, "sweep.map",
 			obs.Int("trials", n), obs.Int("workers", workers))
@@ -116,107 +104,81 @@ func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, 
 		ticket := obs.ProgressSweepStart(n)
 		defer ticket.Finish()
 	}
-	if workers <= 1 {
-		// Sequential fast path: no goroutines, identical semantics. Under
-		// tracing the loop is booked as worker 0 so `flm stats` sees one
-		// fully-busy worker rather than no sweep at all.
-		var wo *workerObs
-		if traced {
-			_, ws := obs.StartSpan(ctx, "sweep.worker", obs.Int("worker", 0))
-			started := time.Now()
-			wo = &workerObs{}
-			defer func() { wo.finish(ws, started) }()
-		}
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return results, fmt.Errorf("sweep: cancelled before trial %d: %w", i, err)
-			}
-			var t0 time.Time
-			if wo != nil {
-				t0 = wo.begin()
-			}
-			v, err := fn(i)
-			if wo != nil {
-				wo.record(time.Since(t0))
-			}
-			if err != nil {
-				if wo != nil {
-					wo.fault()
-				}
-				return results, err
-			}
-			results[i] = v
-		}
-		return results, nil
-	}
-
 	var (
-		next     atomic.Int64 // next trial index to claim
-		failed   atomic.Bool  // set once any trial errors
-		mu       sync.Mutex   // guards firstErr/firstIdx
+		failed   atomic.Bool // set once any trial errors
+		mu       sync.Mutex  // guards firstErr/firstIdx
 		firstErr error
 		firstIdx = n
-		wg       sync.WaitGroup
 	)
-	// loop is one worker's claim-and-run cycle; wo is nil on the untraced
-	// path, so the only instrumentation cost there is a dead nil check.
-	loop := func(wo *workerObs) {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n || failed.Load() || ctx.Err() != nil {
-				return
-			}
-			var t0 time.Time
-			if wo != nil {
-				t0 = wo.begin()
-			}
-			v, err := fn(i)
-			if wo != nil {
-				wo.record(time.Since(t0))
-			}
-			if err != nil {
-				if wo != nil {
-					wo.fault()
-				}
-				failed.Store(true)
-				mu.Lock()
-				if i < firstIdx {
-					firstIdx, firstErr = i, err
-				}
-				mu.Unlock()
-				return
-			}
+	pool(ctx, n, workers, failed.Load, func(i int) bool {
+		v, err := fn(i)
+		if err == nil {
 			results[i] = v
+			return false
 		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			if !traced {
-				loop(nil)
-				return
-			}
-			_, ws := obs.StartSpan(ctx, "sweep.worker", obs.Int("worker", w))
-			started := time.Now()
-			wo := workerObs{worker: w}
-			doLabeled(ctx, w, func() { loop(&wo) })
-			wo.finish(ws, started)
-		}(w)
-	}
-	wg.Wait()
-	if firstErr == nil {
-		if err := ctx.Err(); err != nil {
-			return results, fmt.Errorf("sweep: cancelled: %w", err)
+		failed.Store(true)
+		mu.Lock()
+		if i < firstIdx {
+			firstIdx, firstErr = i, err
 		}
-	}
+		mu.Unlock()
+		return true
+	})
 	return results, firstErr
 }
 
-// Each is Map for trials that produce no result value.
-func Each(n int, fn func(i int) error) error {
-	_, err := Map(n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
+// pool is the one worker loop behind Map and Isolated. Workers claim
+// indices in order from a shared atomic counter and run trial(i) on each
+// until the indices run out or stop reports true; trial reports whether
+// the trial failed. Worker 0 runs on the calling goroutine, so a
+// one-worker sweep starts no goroutine. Under tracing each worker opens a
+// sweep.worker span; with pprof labels on ctx each runs under doLabeled.
+// pool returns how many indices were claimed: a stopped sweep never
+// started the trials from that index on.
+func pool(ctx context.Context, n, workers int, stop func() bool, trial func(i int) bool) int {
+	var next atomic.Int64 // next trial index to claim
+	traced := obs.Enabled()
+	loop := func(w int) {
+		var wo *workerObs
+		var ws *obs.Span
+		var started time.Time
+		if traced {
+			_, ws = obs.StartSpan(ctx, "sweep.worker", obs.Int("worker", w))
+			started = time.Now()
+			wo = &workerObs{worker: w}
+		}
+		doLabeled(ctx, w, func() {
+			for !stop() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				var t0 time.Time
+				if wo != nil {
+					t0 = wo.begin()
+				}
+				failed := trial(i)
+				if wo != nil {
+					wo.record(time.Since(t0))
+					if failed {
+						wo.fault()
+					}
+				}
+			}
+		})
+		if wo != nil {
+			wo.finish(ws, started)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			loop(w)
+		}(w)
+	}
+	loop(0)
+	wg.Wait()
+	return min(int(next.Load()), n)
 }

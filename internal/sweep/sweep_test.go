@@ -58,14 +58,20 @@ func TestMapCancelsAfterFirstError(t *testing.T) {
 	}
 }
 
+// TestMapSequentialFallback: a one-worker pool runs every trial, in
+// index order.
 func TestMapSequentialFallback(t *testing.T) {
 	defer SetWorkers(SetWorkers(1))
-	got, err := Map(5, func(i int) (string, error) { return fmt.Sprint(i), nil })
+	var order []int
+	got, err := Map(5, func(i int) (string, error) {
+		order = append(order, i)
+		return fmt.Sprint(i), nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[4] != "4" {
-		t.Fatalf("sequential path broken: %v", got)
+	if got[4] != "4" || fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Fatalf("sequential path broken: results %v, order %v", got, order)
 	}
 }
 
@@ -73,22 +79,6 @@ func TestMapZeroTrials(t *testing.T) {
 	got, err := Map(0, func(i int) (int, error) { t.Fatal("must not run"); return 0, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-func TestEachPropagatesError(t *testing.T) {
-	defer SetWorkers(SetWorkers(4))
-	sentinel := errors.New("each")
-	if err := Each(8, func(i int) error {
-		if i == 2 {
-			return sentinel
-		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("got %v", err)
-	}
-	if err := Each(8, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }
 

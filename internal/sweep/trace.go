@@ -9,12 +9,12 @@ import (
 	"flm/internal/obs"
 )
 
-// Observability for the sweep pool. Both engines (Map and Isolated)
-// branch on obs.Enabled() once per sweep; the untraced paths run the
-// exact pre-instrumentation code. Per-worker spans record task counts,
-// busy time, and (for Isolated) fault counts; per-trial durations feed
-// a shared histogram, and utilization falls out of busy time over span
-// wall time in `flm stats`.
+// Observability for the sweep pool. Map and Isolated share one worker
+// loop (pool), which branches on obs.Enabled() once per worker; untraced,
+// it pays a nil check per trial. Per-worker spans record task counts,
+// busy time, and fault counts; per-trial durations feed a shared
+// histogram, and utilization falls out of busy time over span wall time
+// in `flm stats`.
 var (
 	mSweeps      = obs.NewCounter("sweep.sweeps")
 	mSweepTrials = obs.NewCounter("sweep.trials")

@@ -90,8 +90,8 @@ func TestMapTracedConcurrentJSONL(t *testing.T) {
 	}
 }
 
-// TestMapTracedSequentialWorkerZero pins the workers<=1 fast path's
-// booking: the whole sweep appears as worker 0.
+// TestMapTracedSequentialWorkerZero pins the one-worker pool's booking:
+// the whole sweep appears as worker 0.
 func TestMapTracedSequentialWorkerZero(t *testing.T) {
 	prev := SetWorkers(1)
 	defer SetWorkers(prev)
