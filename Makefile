@@ -77,11 +77,11 @@ verify-race: verify
 # than recomputing.
 cache-warm:
 	rm -rf $(CACHE_WARM_DIR)
-	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all > /tmp/flm-cache-warm-cold.txt
-	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all -trace /tmp/flm-cache-warm.jsonl > /tmp/flm-cache-warm-warm.txt
-	diff /tmp/flm-cache-warm-cold.txt /tmp/flm-cache-warm-warm.txt
-	$(GO) run ./cmd/flm stats -mindiskrate $(CACHE_WARM_MIN_RATE) /tmp/flm-cache-warm.jsonl > /tmp/flm-cache-warm-stats.txt
-	@tail -1 /tmp/flm-cache-warm-stats.txt
+	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all > $(CACHE_WARM_DIR).cold.txt
+	FLM_CACHE_DIR=$(CACHE_WARM_DIR) $(GO) run ./cmd/flm all -trace $(CACHE_WARM_DIR).jsonl > $(CACHE_WARM_DIR).warm.txt
+	diff $(CACHE_WARM_DIR).cold.txt $(CACHE_WARM_DIR).warm.txt
+	$(GO) run ./cmd/flm stats -mindiskrate $(CACHE_WARM_MIN_RATE) $(CACHE_WARM_DIR).jsonl > $(CACHE_WARM_DIR).stats.txt
+	@tail -1 $(CACHE_WARM_DIR).stats.txt
 
 chaos:
 	$(GO) run ./cmd/flm chaos -seed $(CHAOS_SEED) -trials $(CHAOS_TRIALS)
@@ -91,9 +91,9 @@ chaos-async:
 
 trace-smoke:
 	$(GO) run ./cmd/flm run -trace $(TRACE_FILE) E1 > /dev/null
-	$(GO) run ./cmd/flm stats $(TRACE_FILE) | tee /tmp/flm-trace-smoke.txt
-	@grep -q "hit rate" /tmp/flm-trace-smoke.txt || { echo "trace-smoke: no cache summary in flm stats output" >&2; exit 1; }
-	@grep -q "core.chain.link" /tmp/flm-trace-smoke.txt || { echo "trace-smoke: no chain-link spans in flm stats output" >&2; exit 1; }
+	$(GO) run ./cmd/flm stats $(TRACE_FILE) | tee $(TRACE_FILE).stats.txt
+	@grep -q "hit rate" $(TRACE_FILE).stats.txt || { echo "trace-smoke: no cache summary in flm stats output" >&2; exit 1; }
+	@grep -q "core.chain.link" $(TRACE_FILE).stats.txt || { echo "trace-smoke: no chain-link spans in flm stats output" >&2; exit 1; }
 
 # The fresh trace is produced under the same pinned conditions as the
 # committed reference (caches off, one worker) so every compared family
@@ -104,21 +104,22 @@ trace-diff:
 	FLM_RUNCACHE=off FLM_CACHE_DIR=off FLM_WORKERS=1 bin/flm run -trace $(TRACE_DIFF_FILE) E1 > /dev/null
 	bin/flm stats -diff $(TRACE_DIFF_FILE) $(TRACE_DIFF_FILE)
 	bin/flm stats -diff -notiming -threshold $(TRACE_DIFF_THRESHOLD) $(TRACE_REF) $(TRACE_DIFF_FILE)
-	@bin/flm stats -diff -notiming $(TRACE_REF) $(TRACE_REGRESSED) > /tmp/flm-trace-diff-gate.txt; \
+	@bin/flm stats -diff -notiming $(TRACE_REF) $(TRACE_REGRESSED) > $(TRACE_DIFF_FILE).gate.txt; \
 	status=$$?; \
-	test $$status -eq 3 || { echo "trace-diff: injected regression exited $$status, want 3" >&2; cat /tmp/flm-trace-diff-gate.txt >&2; exit 1; }; \
+	test $$status -eq 3 || { echo "trace-diff: injected regression exited $$status, want 3" >&2; cat $(TRACE_DIFF_FILE).gate.txt >&2; exit 1; }; \
 	echo "trace-diff: injected regression tripped the exit-3 gate as expected"
 
 obs-smoke:
 	$(GO) build -o bin/flm ./cmd/flm
 	@set -e; \
-	bin/flm all -obs-listen $(OBS_SMOKE_ADDR) > /tmp/flm-obs-smoke-report.txt 2>/tmp/flm-obs-smoke-err.txt & pid=$$!; \
+	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	bin/flm all -obs-listen $(OBS_SMOKE_ADDR) > "$$dir/report.txt" 2>"$$dir/err.txt" & pid=$$!; \
 	up=0; for i in $$(seq 1 100); do \
 	  if curl -fsS http://$(OBS_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
 	  sleep 0.05; done; \
-	test $$up -eq 1 || { echo "obs-smoke: /healthz never came up" >&2; cat /tmp/flm-obs-smoke-err.txt >&2; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -fsS http://$(OBS_SMOKE_ADDR)/metrics > /tmp/flm-obs-smoke-metrics.txt; \
-	grep -q '^flm_' /tmp/flm-obs-smoke-metrics.txt || { echo "obs-smoke: /metrics served no flm_ series" >&2; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -fsS http://$(OBS_SMOKE_ADDR)/progress > /tmp/flm-obs-smoke-progress.json; \
+	test $$up -eq 1 || { echo "obs-smoke: /healthz never came up" >&2; cat "$$dir/err.txt" >&2; kill $$pid 2>/dev/null; exit 1; }; \
+	curl -fsS http://$(OBS_SMOKE_ADDR)/metrics > "$$dir/metrics.txt"; \
+	grep -q '^flm_' "$$dir/metrics.txt" || { echo "obs-smoke: /metrics served no flm_ series" >&2; kill $$pid 2>/dev/null; exit 1; }; \
+	curl -fsS http://$(OBS_SMOKE_ADDR)/progress > "$$dir/progress.json"; \
 	wait $$pid; \
-	echo "obs-smoke: /healthz, /metrics ($$(grep -c '^flm_' /tmp/flm-obs-smoke-metrics.txt) samples), and /progress all served during a live run"
+	echo "obs-smoke: /healthz, /metrics ($$(grep -c '^flm_' "$$dir/metrics.txt") samples), and /progress all served during a live run"

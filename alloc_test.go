@@ -27,7 +27,8 @@ var allocCanaries = []struct {
 	maxBytes  uint64
 	run       func() error
 }{
-	{"timedsim-tick", 54843, 1904003, timedTick},
+	{"timedsim-tick", 2942, 562259, timedTick},
+	{"timedsim-midpoint", 179357, 14202989, timedMidpoint},
 	{"eig-resolve", 17620, 3001724, eigResolve},
 	{"async-sched", 17207, 891739, asyncSched},
 	{"cache-evict", 58525, 3214437, cacheEvict},
@@ -102,29 +103,37 @@ func measureAllocs(fn func() error) (allocs, bytes uint64, err error) {
 }
 
 // timedTick isolates the timed simulator's tick loop: one Theorem 8 ring
-// of chase devices, dominated by per-tick rational scheduling and message
-// delivery (the arena + incremental-schedule hot path).
-func timedTick() error {
+// of chase devices, dominated by per-tick scheduling and message
+// delivery, all of it inline int64 clockfn.Q arithmetic.
+func timedTick() error { return clockRing(flm.NewChaseClock(ringEnvelope)) }
+
+// timedMidpoint isolates the averaging devices' big.Rat path: the same
+// ring of midpoint devices, whose corrections halve every tick and
+// outgrow int64, so every tick parses, averages and formats multi-word
+// rationals in the devices' scratch registers.
+func timedMidpoint() error { return clockRing(flm.NewMidpointClock(ringEnvelope)) }
+
+// ringEnvelope is the lower envelope l(t) = t of clockRing's claim.
+var ringEnvelope = flm.LinearClock{Rate: 1}
+
+// clockRing proves Theorem 8 against b on every node of the triangle,
+// for p = t, q = 1.5t, l = t, u = t + 4, α = 1.5 and t' = 4.
+func clockRing(b flm.SyncBuilder) error {
 	params := flm.SyncParams{
 		P:      flm.RatIdentity(),
 		Q:      flm.NewRatClock(3, 2, 0, 1),
-		L:      flm.LinearClock{Rate: 1, Off: 0},
+		L:      ringEnvelope,
 		U:      flm.LinearClock{Rate: 1, Off: 4},
 		Alpha:  1.5,
 		TPrime: big.NewRat(4, 1),
 		Delta:  big.NewRat(1, 2),
 	}
-	builders := map[string]flm.SyncBuilder{
-		"a": flm.NewChaseClock(params.L),
-		"b": flm.NewChaseClock(params.L),
-		"c": flm.NewChaseClock(params.L),
-	}
-	r, err := flm.ProveClockSync(params, builders)
+	r, err := flm.ProveClockSync(params, map[string]flm.SyncBuilder{"a": b, "b": b, "c": b})
 	if err != nil {
 		return err
 	}
 	if !r.Contradicted() {
-		return fmt.Errorf("timedsim tick bench: expected a Theorem 8 violation")
+		return fmt.Errorf("clock ring bench: expected a Theorem 8 violation")
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func liarScript(g *graph.Graph, liar string, seed int64, until int64) []timedsim
 		for _, nb := range nbs {
 			val := rng.Int63n(2_000_001) - 1_000_000
 			script = append(script, timedsim.ScriptedSend{
-				At: big.NewRat(t, 1), To: nb, Payload: strconv.FormatInt(val, 10),
+				At: clockfn.NewQ(t, 1), To: nb, Payload: strconv.FormatInt(val, 10),
 			})
 		}
 	}

@@ -8,15 +8,19 @@
 //
 //   - Fn: float64 functions used for envelopes (l, u) and condition
 //     evaluation — linear, logarithmic, exponential, compositions.
-//   - RatLinear: exact rational affine clocks (big.Rat) used for event
+//   - RatLinear: exact rational affine clocks over Q, used for event
 //     scheduling in the timed simulator, where exactness guarantees that
 //     scaling a run reorders nothing.
+//
+// Q is the exact rational of the second layer: an immutable value that
+// holds int64 parts inline and falls back to math/big only for a value
+// that does not fit. RatScratch keeps big.Rat comparisons allocation
+// free for the devices whose state outgrows int64.
 package clockfn
 
 import (
 	"fmt"
 	"math"
-	"math/big"
 )
 
 // Fn is an increasing invertible function of time.
@@ -119,43 +123,32 @@ func Iterate(f Fn, n int) Fn {
 // rationals. The zero value is unusable; construct with NewRatLinear or
 // RatIdentity.
 type RatLinear struct {
-	Rate, Off *big.Rat
+	Rate, Off Q
 }
 
 // NewRatLinear builds the exact clock (num/den)*t + (onum/oden).
 func NewRatLinear(num, den, onum, oden int64) RatLinear {
-	return RatLinear{Rate: big.NewRat(num, den), Off: big.NewRat(onum, oden)}
+	return RatLinear{Rate: NewQ(num, den), Off: NewQ(onum, oden)}
 }
 
 // RatIdentity is the exact identity clock.
 func RatIdentity() RatLinear { return NewRatLinear(1, 1, 0, 1) }
 
 // At evaluates the clock at an exact time.
-func (f RatLinear) At(t *big.Rat) *big.Rat {
-	out := new(big.Rat).Mul(f.Rate, t)
-	return out.Add(out, f.Off)
-}
+func (f RatLinear) At(t Q) Q { return f.Rate.Mul(t).Add(f.Off) }
 
 // Inv evaluates the exact inverse.
-func (f RatLinear) Inv(y *big.Rat) *big.Rat {
-	out := new(big.Rat).Sub(y, f.Off)
-	return out.Quo(out, f.Rate)
-}
+func (f RatLinear) Inv(y Q) Q { return y.Sub(f.Off).Quo(f.Rate) }
 
 // ComposeRat returns f ∘ g exactly (another affine clock).
 func (f RatLinear) ComposeRat(g RatLinear) RatLinear {
-	rate := new(big.Rat).Mul(f.Rate, g.Rate)
-	off := new(big.Rat).Mul(f.Rate, g.Off)
-	off.Add(off, f.Off)
-	return RatLinear{Rate: rate, Off: off}
+	return RatLinear{Rate: f.Rate.Mul(g.Rate), Off: f.Rate.Mul(g.Off).Add(f.Off)}
 }
 
 // InverseRat returns f⁻¹ exactly.
 func (f RatLinear) InverseRat() RatLinear {
-	rate := new(big.Rat).Inv(f.Rate)
-	off := new(big.Rat).Mul(rate, f.Off)
-	off.Neg(off)
-	return RatLinear{Rate: rate, Off: off}
+	rate := f.Rate.Inv()
+	return RatLinear{Rate: rate, Off: rate.Mul(f.Off).Neg()}
 }
 
 // IterateRat returns fⁿ exactly (negative n inverts).
@@ -172,11 +165,26 @@ func (f RatLinear) IterateRat(n int) RatLinear {
 	return out
 }
 
+// Iterates returns the table [h⁰, h¹, ..., hⁿ] (or the inverse iterates
+// for sign < 0) built incrementally, so callers that need every power up
+// to n pay O(n) compositions instead of the O(n²) of calling IterateRat
+// per index. Iterates(h, -1, n)[i] equals h.IterateRat(-i) exactly.
+func Iterates(h RatLinear, sign, n int) []RatLinear {
+	base := h
+	if sign < 0 {
+		base = h.InverseRat()
+	}
+	out := make([]RatLinear, n+1)
+	out[0] = RatIdentity()
+	for i := 1; i <= n; i++ {
+		out[i] = base.ComposeRat(out[i-1])
+	}
+	return out
+}
+
 // Float returns the float64 view of the clock for condition evaluation.
 func (f RatLinear) Float() Linear {
-	rate, _ := f.Rate.Float64()
-	off, _ := f.Off.Float64()
-	return Linear{Rate: rate, Off: off}
+	return Linear{Rate: f.Rate.Float64(), Off: f.Off.Float64()}
 }
 
 // Cmp compares two exact clocks for equality of law.
@@ -185,5 +193,5 @@ func (f RatLinear) Cmp(g RatLinear) bool {
 }
 
 func (f RatLinear) String() string {
-	return fmt.Sprintf("%s*t+%s", f.Rate.RatString(), f.Off.RatString())
+	return f.Rate.String() + "*t+" + f.Off.String()
 }

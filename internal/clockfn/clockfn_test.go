@@ -2,7 +2,6 @@ package clockfn
 
 import (
 	"math"
-	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -87,14 +86,14 @@ func TestIterateComposeLaw(t *testing.T) {
 
 func TestRatLinearExactness(t *testing.T) {
 	q := NewRatLinear(3, 2, 0, 1) // 1.5t
-	x := big.NewRat(4, 3)
+	x := NewQ(4, 3)
 	y := q.At(x) // 2
-	if y.Cmp(big.NewRat(2, 1)) != 0 {
-		t.Errorf("q(4/3) = %s, want 2", y.RatString())
+	if y.Cmp(NewQ(2, 1)) != 0 {
+		t.Errorf("q(4/3) = %s, want 2", y)
 	}
 	back := q.Inv(y)
 	if back.Cmp(x) != 0 {
-		t.Errorf("inverse round trip: %s", back.RatString())
+		t.Errorf("inverse round trip: %s", back)
 	}
 }
 
@@ -113,11 +112,11 @@ func TestRatLinearComposeInverse(t *testing.T) {
 
 func TestRatLinearIterate(t *testing.T) {
 	h := NewRatLinear(2, 1, 0, 1) // 2t
-	if got := h.IterateRat(3).At(big.NewRat(1, 1)); got.Cmp(big.NewRat(8, 1)) != 0 {
-		t.Errorf("h³(1) = %s, want 8", got.RatString())
+	if got := h.IterateRat(3).At(NewQ(1, 1)); got.Cmp(NewQ(8, 1)) != 0 {
+		t.Errorf("h³(1) = %s, want 8", got)
 	}
-	if got := h.IterateRat(-2).At(big.NewRat(8, 1)); got.Cmp(big.NewRat(2, 1)) != 0 {
-		t.Errorf("h⁻²(8) = %s, want 2", got.RatString())
+	if got := h.IterateRat(-2).At(NewQ(8, 1)); got.Cmp(NewQ(2, 1)) != 0 {
+		t.Errorf("h⁻²(8) = %s, want 2", got)
 	}
 	if !h.IterateRat(0).Cmp(RatIdentity()) {
 		t.Error("h⁰ is not the identity")

@@ -2,17 +2,15 @@ package clockfn
 
 import "math/big"
 
-// RatScratch is reusable scratch state for exact rational comparisons
-// that allocate nothing in steady state. big.Rat's own Cmp builds two
-// fresh Ints per call and Add/Sub normalize through a gcd, so any hot
-// loop comparing rationals pays an allocation tax per event; the scratch
-// comparator cross-multiplies into two retained Ints whose storage is
-// reused once it has grown to the working operand size.
+// RatScratch compares big.Rat values without allocating in steady
+// state: big.Rat's own Cmp builds two fresh Ints per call, while the
+// scratch comparator cross-multiplies into two retained Ints whose
+// storage is reused once it has grown to the working operand size. The
+// averaging clock devices, whose corrections halve every tick and so
+// outgrow int64 within a few dozen ticks, keep their state in big.Rat
+// registers and compare through it.
 //
-// A RatScratch is not safe for concurrent use. Comparing a *big.Rat may
-// materialize its denominator in place (big.Rat stores an integral
-// denominator lazily), so the rationals handed to Cmp and CmpAt must not
-// be shared with other goroutines at the time of the call.
+// A RatScratch is not safe for concurrent use.
 type RatScratch struct {
 	x, y big.Int
 }
@@ -22,55 +20,4 @@ func (s *RatScratch) Cmp(a, b *big.Rat) int {
 	s.x.Mul(a.Num(), b.Denom())
 	s.y.Mul(b.Num(), a.Denom())
 	return s.x.Cmp(&s.y)
-}
-
-// CmpFrac compares the fractions an/ad and bn/bd exactly. Both
-// denominators must be positive; the fractions need not be reduced.
-func (s *RatScratch) CmpFrac(an, ad, bn, bd *big.Int) int {
-	s.x.Mul(an, bd)
-	s.y.Mul(bn, ad)
-	return s.x.Cmp(&s.y)
-}
-
-// CmpFracRat compares the fraction an/ad (ad > 0) against the rational b.
-func (s *RatScratch) CmpFracRat(an, ad *big.Int, b *big.Rat) int {
-	s.x.Mul(an, b.Denom())
-	s.y.Mul(b.Num(), ad)
-	return s.x.Cmp(&s.y)
-}
-
-// CmpAt compares f(t) against y exactly without materializing f(t):
-// with f = (rn/rd)*t + (on/od) and t = tn/td, the value is
-// (rn*tn*od + on*rd*td) / (rd*td*od), whose denominator is positive, so
-// the comparison is a cross-multiplication. Like Cmp, the operands' lazy
-// denominators may be materialized in place, so f, t, and y must not be
-// concurrently shared.
-func (s *RatScratch) CmpAt(f RatLinear, t, y *big.Rat) int {
-	s.x.Mul(f.Rate.Num(), t.Num())
-	s.x.Mul(&s.x, f.Off.Denom())
-	s.y.Mul(f.Off.Num(), f.Rate.Denom())
-	s.y.Mul(&s.y, t.Denom())
-	s.x.Add(&s.x, &s.y)
-	s.y.Mul(f.Rate.Denom(), t.Denom())
-	s.y.Mul(&s.y, f.Off.Denom())
-	s.x.Mul(&s.x, y.Denom())
-	s.y.Mul(&s.y, y.Num())
-	return s.x.Cmp(&s.y)
-}
-
-// Iterates returns the table [h⁰, h¹, ..., hⁿ] (or the inverse iterates
-// for sign < 0) built incrementally, so callers that need every power up
-// to n pay O(n) compositions instead of the O(n²) of calling IterateRat
-// per index. Iterates(h, -1, n)[i] equals h.IterateRat(-i) exactly.
-func Iterates(h RatLinear, sign, n int) []RatLinear {
-	base := h
-	if sign < 0 {
-		base = h.InverseRat()
-	}
-	out := make([]RatLinear, n+1)
-	out[0] = RatIdentity()
-	for i := 1; i <= n; i++ {
-		out[i] = base.ComposeRat(out[i-1])
-	}
-	return out
 }

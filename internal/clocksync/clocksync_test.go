@@ -63,7 +63,7 @@ func TestHComposition(t *testing.T) {
 	}
 	// h(t) >= t for t >= 0.
 	for _, tv := range []int64{0, 1, 7} {
-		x := big.NewRat(tv, 1)
+		x := clockfn.NewQ(tv, 1)
 		if h.At(x).Cmp(x) < 0 {
 			t.Errorf("h(%d) < %d", tv, tv)
 		}
@@ -224,11 +224,11 @@ func TestDeviceSnapshots(t *testing.T) {
 	} {
 		d := b("a", []string{"b", "c"})
 		d.Init("a", []string{"b", "c"})
-		d.Tick(0, big.NewRat(0, 1), nil)
+		d.Tick(0, clockfn.Q{}, nil)
 		if d.Snapshot() == "" {
 			t.Errorf("%s: empty snapshot", name)
 		}
-		if v := d.Logical(big.NewRat(3, 1)); math.IsNaN(v) {
+		if v := d.Logical(clockfn.NewQ(3, 1)); math.IsNaN(v) {
 			t.Errorf("%s: NaN logical clock", name)
 		}
 	}

@@ -54,14 +54,11 @@ func NewTrivialLower(l clockfn.Fn) Builder {
 
 func (d *trivialDevice) Init(self string, neighbors []string) {}
 
-func (d *trivialDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (d *trivialDevice) Tick(k int, hw clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
 	return nil
 }
 
-func (d *trivialDevice) Logical(hw *big.Rat) float64 {
-	f, _ := hw.Float64()
-	return d.l.At(f)
-}
+func (d *trivialDevice) Logical(hw clockfn.Q) float64 { return d.l.At(hw.Float64()) }
 
 func (d *trivialDevice) Snapshot() string { return "trivial" }
 
@@ -75,11 +72,9 @@ type chaseDevice struct {
 	self  string
 	nbs   []string
 	l     clockfn.Fn
-	ahead *big.Rat
-	tmp   big.Rat // per-message parse/lead scratch
-	eff   big.Rat // corrected-reading scratch
-	scr   clockfn.RatScratch
+	ahead clockfn.Q
 	out   []timedsim.Send // reused outbox (consumed before the next Tick)
+	snap  string          // last Snapshot; "" once Init or Tick changes ahead
 }
 
 var _ timedsim.Device = (*chaseDevice)(nil)
@@ -96,25 +91,25 @@ func NewChaseMax(l clockfn.Fn) Builder {
 func (d *chaseDevice) Init(self string, neighbors []string) {
 	d.self = self
 	d.nbs = sortedNeighbors(neighbors)
-	d.ahead = new(big.Rat)
+	d.ahead = clockfn.Q{}
+	d.snap = ""
 }
 
-func (d *chaseDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (d *chaseDevice) Tick(k int, hw clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
 	for _, m := range inbox {
-		reported, ok := d.tmp.SetString(m.Payload)
+		reported, ok := clockfn.ParseQ(m.Payload)
 		if !ok {
 			continue
 		}
 		// The neighbor's reading was taken at its send time, which is
 		// earlier than now; treating it as current only underestimates
 		// the lead, keeping the device conservative.
-		lead := reported.Sub(reported, hw)
-		if d.scr.Cmp(lead, d.ahead) > 0 {
-			d.ahead.Set(lead)
+		if lead := reported.Sub(hw); lead.Cmp(d.ahead) > 0 {
+			d.ahead = lead
+			d.snap = ""
 		}
 	}
-	d.eff.Add(hw, d.ahead)
-	payload := d.eff.RatString() // one encoding shared by every neighbor
+	payload := hw.Add(d.ahead).String() // one encoding shared by every neighbor
 	out := d.out[:0]
 	for _, nb := range d.nbs {
 		out = append(out, timedsim.Send{To: nb, Payload: payload})
@@ -123,14 +118,15 @@ func (d *chaseDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timed
 	return out
 }
 
-func (d *chaseDevice) Logical(hw *big.Rat) float64 {
-	d.eff.Add(hw, d.ahead)
-	f, _ := d.eff.Float64()
-	return d.l.At(f)
-}
+func (d *chaseDevice) Logical(hw clockfn.Q) float64 { return d.l.At(hw.Add(d.ahead).Float64()) }
 
+// Snapshot encodes the state once per change of the lead; the lead
+// settles early in a run, so most ticks repeat the string.
 func (d *chaseDevice) Snapshot() string {
-	return fmt.Sprintf("chase(ahead=%s)", d.ahead.RatString())
+	if d.snap == "" {
+		d.snap = "chase(ahead=" + d.ahead.String() + ")"
+	}
+	return d.snap
 }
 
 // trimmedDevice is the fault-tolerant variant: it moves its correction
@@ -147,6 +143,7 @@ type trimmedDevice struct {
 	corr     *big.Rat
 	last     map[string]*big.Rat
 	tmp      big.Rat // per-message parse scratch
+	hw       big.Rat // hardware-reading register
 	own      big.Rat // corrected-reading scratch
 	adj      big.Rat // correction-step scratch
 	scr      clockfn.RatScratch
@@ -173,7 +170,8 @@ func (d *trimmedDevice) Init(self string, neighbors []string) {
 	d.last = make(map[string]*big.Rat, len(d.nbs))
 }
 
-func (d *trimmedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (d *trimmedDevice) Tick(k int, hwq clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
+	hw := hwq.Rat(&d.hw)
 	for _, m := range inbox {
 		if reported, ok := d.tmp.SetString(m.Payload); ok {
 			if v, exists := d.last[m.From]; exists {
@@ -215,8 +213,8 @@ func (d *trimmedDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []tim
 	return out
 }
 
-func (d *trimmedDevice) Logical(hw *big.Rat) float64 {
-	d.own.Add(hw, d.corr)
+func (d *trimmedDevice) Logical(hw clockfn.Q) float64 {
+	d.own.Add(hw.Rat(&d.hw), d.corr)
 	f, _ := d.own.Float64()
 	return d.l.At(f)
 }
@@ -237,6 +235,13 @@ func (d *trimmedDevice) Snapshot() string {
 // midpointDevice averages: it broadcasts its corrected reading each tick
 // and moves its correction halfway toward the midpoint of the extreme
 // neighbor readings.
+//
+// Both averaging devices, this one and trimmedDevice, keep their state in
+// big.Rat registers: a correction that moves halfway every tick doubles
+// its denominator every tick and outgrows int64 within a few dozen
+// ticks, so an immutable clockfn.Q would allocate a fresh big.Rat per
+// operation where a register reuses its storage. Each hardware reading
+// enters through clockfn.Q.Rat into a register of the device's own.
 type midpointDevice struct {
 	self string
 	nbs  []string
@@ -244,6 +249,7 @@ type midpointDevice struct {
 	corr *big.Rat
 	last map[string]*big.Rat
 	tmp  big.Rat // per-message parse scratch
+	hw   big.Rat // hardware-reading register
 	own  big.Rat // corrected-reading scratch
 	mid  big.Rat // midpoint scratch
 	adj  big.Rat // correction-step scratch
@@ -269,7 +275,8 @@ func (d *midpointDevice) Init(self string, neighbors []string) {
 	d.last = make(map[string]*big.Rat, len(d.nbs))
 }
 
-func (d *midpointDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (d *midpointDevice) Tick(k int, hwq clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
+	hw := hwq.Rat(&d.hw)
 	for _, m := range inbox {
 		if reported, ok := d.tmp.SetString(m.Payload); ok {
 			if v, exists := d.last[m.From]; exists {
@@ -312,8 +319,8 @@ func (d *midpointDevice) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []ti
 	return out
 }
 
-func (d *midpointDevice) Logical(hw *big.Rat) float64 {
-	d.own.Add(hw, d.corr)
+func (d *midpointDevice) Logical(hw clockfn.Q) float64 {
+	d.own.Add(hw.Rat(&d.hw), d.corr)
 	f, _ := d.own.Float64()
 	return d.l.At(f)
 }

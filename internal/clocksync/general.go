@@ -87,18 +87,12 @@ type scaledScenario struct {
 // the scenario as a real G-system (correct devices with their scaled
 // clocks, every other node a scripted sender replaying the scaled border
 // traffic) and require tick-for-tick agreement with the covering run.
-func checkScaledScenario(cover *graph.Cover, params Params, builders map[string]Builder, h clockfn.RatLinear, iters []clockfn.RatLinear, position []int, runS *timedsim.Run, sc scaledScenario, tSecond *big.Rat) error {
+func checkScaledScenario(cover *graph.Cover, params Params, builders map[string]Builder, h clockfn.RatLinear, iters []clockfn.RatLinear, position []int, runS *timedsim.Run, sc scaledScenario, tSecond clockfn.Q) error {
 	s, g := cover.S, cover.G
 	if err := cover.InducedIsomorphic(sc.u); err != nil {
 		return err
 	}
-	// Private copy of the shared iterate: scratch comparators decompose
-	// Rate/Off in place, and iters may be shared with concurrent cells.
-	scaleFn := clockfn.RatLinear{
-		Rate: new(big.Rat).Set(iters[sc.scale].Rate),
-		Off:  new(big.Rat).Set(iters[sc.scale].Off),
-	}
-	var scr clockfn.RatScratch
+	scaleFn := iters[sc.scale]
 	correct := make(map[int]int, len(sc.u)) // G-node -> S preimage
 	for _, sn := range sc.u {
 		correct[cover.Phi[sn]] = sn
@@ -142,7 +136,7 @@ func checkScaledScenario(cover *graph.Cover, params Params, builders map[string]
 					At: scaleFn.At(rec.At), To: g.Name(gv), Payload: rec.Payload,
 				})
 			}
-			script = mergeScript(&scr, script, edge)
+			script = mergeScript(script, edge)
 		}
 		nodes[gn] = timedsim.Node{Script: script, Clock: params.Q}
 	}
@@ -164,9 +158,9 @@ func checkScaledScenario(cover *graph.Cover, params Params, builders map[string]
 		}
 		for j := range ringTicks {
 			rt, gt := ringTicks[j], gTicks[j]
-			if scr.CmpAt(scaleFn, rt.Time, gt.Time) != 0 {
+			if scaled := scaleFn.At(rt.Time); scaled.Cmp(gt.Time) != 0 {
 				return fmt.Errorf("%s: node %s tick %d: scaled time %s != %s",
-					sc.name, gName, j, scaleFn.At(rt.Time).RatString(), gt.Time.RatString())
+					sc.name, gName, j, scaled, gt.Time)
 			}
 			if rt.Snapshot != gt.Snapshot {
 				return fmt.Errorf("%s: node %s tick %d: snapshots differ", sc.name, gName, j)
@@ -186,13 +180,12 @@ func gNeighborNames(g *graph.Graph, u int) []string {
 
 // evaluateScaledScenarios applies the agreement and envelope conditions
 // to every scenario at its scaled time and collects violations.
-func evaluateScaledScenarios(params Params, iters []clockfn.RatLinear, run *timedsim.Run, scenarios []scaledScenario, tSecond *big.Rat) []Violation {
+func evaluateScaledScenarios(params Params, iters []clockfn.RatLinear, run *timedsim.Run, scenarios []scaledScenario, tSecond clockfn.Q) []Violation {
 	const tol = 1e-9
 	pf, qf := params.P.Float(), params.Q.Float()
 	var violations []Violation
 	for _, sc := range scenarios {
-		tau := iters[sc.scale].At(tSecond)
-		tauF, _ := tau.Float64()
+		tauF := iters[sc.scale].At(tSecond).Float64()
 		bound := params.L.At(qf.At(tauF)) - params.L.At(pf.At(tauF)) - params.Alpha
 		loEnv, hiEnv := params.L.At(pf.At(tauF)), params.U.At(qf.At(tauF))
 		for ai, a := range sc.u {
@@ -271,7 +264,7 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 	if err != nil {
 		return nil, err
 	}
-	tSecond := h.IterateRat(k).At(params.TPrime)
+	tSecond := h.IterateRat(k).At(clockfn.FromRat(params.TPrime))
 	if err := guardTicks(params, tSecond, k); err != nil {
 		return nil, err
 	}
@@ -295,7 +288,7 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 	res := &Result{
 		Params:  params,
 		K:       k,
-		TSecond: tSecond,
+		TSecond: tSecond.Rat(new(big.Rat)),
 		Logical: append([]float64(nil), run.FinalLogical...),
 		Run:     run,
 	}
@@ -336,7 +329,7 @@ func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode
 	if err != nil {
 		return nil, err
 	}
-	tSecond := h.IterateRat(k).At(params.TPrime)
+	tSecond := h.IterateRat(k).At(clockfn.FromRat(params.TPrime))
 	if err := guardTicks(params, tSecond, k); err != nil {
 		return nil, err
 	}
@@ -391,7 +384,7 @@ func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode
 	res := &Result{
 		Params:  params,
 		K:       k,
-		TSecond: tSecond,
+		TSecond: tSecond.Rat(new(big.Rat)),
 		Logical: append([]float64(nil), run.FinalLogical...),
 		Run:     run,
 	}
@@ -407,10 +400,15 @@ func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode
 	return res, nil
 }
 
+// ticksEstimate is about the number of ticks the fastest node takes to
+// reach real time tSecond: q(tSecond)/Δ.
+func ticksEstimate(params Params, tSecond clockfn.Q) float64 {
+	return params.Q.At(tSecond).Quo(clockfn.FromRat(params.Delta)).Float64()
+}
+
 // guardTicks rejects parameter choices whose simulation would be huge.
-func guardTicks(params Params, tSecond *big.Rat, k int) error {
-	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
-	if est, _ := ticksEstimate.Float64(); est > 5e5 {
+func guardTicks(params Params, tSecond clockfn.Q, k int) error {
+	if est := ticksEstimate(params, tSecond); est > 5e5 {
 		return fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d); increase alpha or tighten the envelopes", est, k)
 	}
 	return nil

@@ -50,7 +50,7 @@ func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLine
 			dev := b(name, nbs)
 			nodes[u] = timedsim.Node{Device: dev, Clock: clocks[u]}
 		}
-		run, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: params.Delta}, until)
+		run, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: params.Delta}, clockfn.FromRat(until))
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func ClockLiarScript(g *graph.Graph, liar string, until int64) []timedsim.Script
 				payload = "-1000000"
 			}
 			script = append(script, timedsim.ScriptedSend{
-				At: big.NewRat(t, 1), To: nb, Payload: payload,
+				At: clockfn.NewQ(t, 1), To: nb, Payload: payload,
 			})
 		}
 	}

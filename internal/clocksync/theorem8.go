@@ -95,17 +95,15 @@ func (p Params) H() clockfn.RatLinear { return p.P.InverseRat().ComposeRat(p.Q) 
 // the Params, not on the devices: the induction length, the verified ring
 // cover, h = p⁻¹∘q, the table of its inverse iterates, and t”. Grid
 // sweeps (EvalGrid) build one prep per parameter case and share it across
-// every device cell; the prep is read-only during runs, and every
-// rational it holds is treated as immutable (scratch comparators copy
-// before decomposing, since big.Rat lazily materializes denominators in
-// place).
+// every device cell; the prep is read-only during runs, and its
+// rationals are immutable clockfn.Q values.
 type theorem8Prep struct {
 	params  Params
 	k       int
 	cover   *graph.Cover
 	h       clockfn.RatLinear
 	iters   []clockfn.RatLinear // iters[i] = h⁻ⁱ, i = 0..k+1
-	tSecond *big.Rat            // t'' = hᵏ(t')
+	tSecond clockfn.Q           // t'' = hᵏ(t')
 }
 
 // prepareTheorem8 does the device-independent setup of the Theorem 8
@@ -124,7 +122,7 @@ func prepareTheorem8(params Params) (*theorem8Prep, error) {
 	}
 	h := params.H()
 	iters := clockfn.Iterates(h, -1, size-1)
-	tSecond := h.IterateRat(k).At(params.TPrime)
+	tSecond := h.IterateRat(k).At(clockfn.FromRat(params.TPrime))
 	return &theorem8Prep{params: params, k: k, cover: cover, h: h, iters: iters, tSecond: tSecond}, nil
 }
 
@@ -158,10 +156,9 @@ func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, erro
 	// q(hᵏ(t'))/Δ ticks — exponential in k for rate-scaled clocks. Guard
 	// against parameter choices that would take hours to simulate; a
 	// larger alpha (or tighter envelopes) shrinks k.
-	ticksEstimate := new(big.Rat).Quo(params.Q.At(tSecond), params.Delta)
-	if est, _ := ticksEstimate.Float64(); est > 5e5 {
+	if est := ticksEstimate(params, tSecond); est > 5e5 {
 		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
-			est, k, tSecond.RatString())
+			est, k, tSecond)
 	}
 	run, err := timedsim.Execute(sys, tSecond)
 	if err != nil {
@@ -170,7 +167,7 @@ func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, erro
 	res := &Result{
 		Params:  params,
 		K:       k,
-		TSecond: tSecond,
+		TSecond: tSecond.Rat(new(big.Rat)),
 		Logical: append([]float64(nil), run.FinalLogical...),
 		Run:     run,
 	}
@@ -188,8 +185,7 @@ func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, erro
 	pf, qf := params.P.Float(), params.Q.Float()
 	res.Floors = make([]float64, size)
 	for i := 0; i <= k; i++ {
-		tau := prep.iters[i].At(tSecond)
-		tauF, _ := tau.Float64()
+		tauF := prep.iters[i].At(tSecond).Float64()
 		scen := fmt.Sprintf("S%d", i)
 		bound := lF.At(qf.At(tauF)) - lF.At(pf.At(tauF)) - params.Alpha
 		gap := res.Logical[i+1] - res.Logical[i]
@@ -290,17 +286,10 @@ func sortedStrings(s []string) []string {
 // tick sequences must match the ring's exactly (times scaled by h⁻ⁱ,
 // hardware readings and snapshots identical). This validates the
 // Scaling, Locality, and Fault axioms on the actual run.
-func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear, ringRun *timedsim.Run, i int, tSecond *big.Rat) error {
+func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear, ringRun *timedsim.Run, i int, tSecond clockfn.Q) error {
 	s, g := cover.S, cover.G
 	size := s.N()
-	// Private copy of the shared iterate: the scratch comparators below
-	// decompose Rate/Off in place (lazy denominators), and the table may
-	// be shared with concurrent grid cells.
-	scale := clockfn.RatLinear{
-		Rate: new(big.Rat).Set(iters[i].Rate),
-		Off:  new(big.Rat).Set(iters[i].Off),
-	}
-	var scr clockfn.RatScratch
+	scale := iters[i]
 	gi, gj := g.Name(cover.Phi[i]), g.Name(cover.Phi[(i+1)%size])
 	third := otherTriangleNode(gi, gj)
 
@@ -316,7 +305,7 @@ func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder,
 	for _, rec := range ringRun.Sends[graph.Edge{From: s.Name(next), To: s.Name((i + 1) % size)}] {
 		intoGj = append(intoGj, timedsim.ScriptedSend{At: scale.At(rec.At), To: gj, Payload: rec.Payload})
 	}
-	script := mergeScript(&scr, intoGi, intoGj)
+	script := mergeScript(intoGi, intoGj)
 
 	tri := graph.Triangle()
 	nodes := make([]timedsim.Node, 3)
@@ -357,13 +346,13 @@ func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder,
 		}
 		for j := range ringTicks {
 			rt, tt := ringTicks[j], triTicks[j]
-			if scr.CmpAt(scale, rt.Time, tt.Time) != 0 {
+			if scaled := scale.At(rt.Time); scaled.Cmp(tt.Time) != 0 {
 				return fmt.Errorf("node %s tick %d: scaled time %s != %s",
-					pair.gName, j, scale.At(rt.Time).RatString(), tt.Time.RatString())
+					pair.gName, j, scaled, tt.Time)
 			}
-			if scr.Cmp(rt.HW, tt.HW) != 0 {
+			if rt.HW.Cmp(tt.HW) != 0 {
 				return fmt.Errorf("node %s tick %d: hw %s != %s",
-					pair.gName, j, rt.HW.RatString(), tt.HW.RatString())
+					pair.gName, j, rt.HW, tt.HW)
 			}
 			if rt.Snapshot != tt.Snapshot {
 				return fmt.Errorf("node %s tick %d: snapshots differ: %q vs %q",
@@ -394,11 +383,9 @@ func triNeighbors(tri *graph.Graph, name string) []string {
 
 // mergeScript merges two time-sorted script fragments into one sorted
 // script, with dst's sends winning ties — exactly the order a stable
-// insertion sort of dst followed by add would produce, but in linear time
-// and with the allocation-free scratch comparator instead of big.Rat.Cmp
-// (which builds two fresh Ints per call). Script assembly used to be the
-// single largest allocation site of the corollary grids.
-func mergeScript(scr *clockfn.RatScratch, dst, add []timedsim.ScriptedSend) []timedsim.ScriptedSend {
+// insertion sort of dst followed by add would produce, but in linear
+// time.
+func mergeScript(dst, add []timedsim.ScriptedSend) []timedsim.ScriptedSend {
 	if len(dst) == 0 {
 		return add
 	}
@@ -408,7 +395,7 @@ func mergeScript(scr *clockfn.RatScratch, dst, add []timedsim.ScriptedSend) []ti
 	out := make([]timedsim.ScriptedSend, 0, len(dst)+len(add))
 	i, j := 0, 0
 	for i < len(dst) && j < len(add) {
-		if scr.Cmp(dst[i].At, add[j].At) <= 0 {
+		if dst[i].At.Cmp(add[j].At) <= 0 {
 			out = append(out, dst[i])
 			i++
 		} else {

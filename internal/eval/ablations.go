@@ -244,7 +244,7 @@ func scalingIdentical(realDelay *big.Rat) (bool, error) {
 			Delta:     big.NewRat(1, 1),
 			RealDelay: realDelay,
 		}
-		until := big.NewRat(6, 1)
+		until := clockfn.NewQ(6, 1)
 		if scale {
 			sys.Nodes[0].Clock = sys.Nodes[0].Clock.ComposeRat(h)
 			sys.Nodes[1].Clock = sys.Nodes[1].Clock.ComposeRat(h)
@@ -286,7 +286,7 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.Send {
+func (b *beacon) Tick(k int, hw clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
 	for _, m := range inbox {
 		b.heard = append(b.heard, m.From+":"+m.Payload)
 	}
@@ -297,9 +297,6 @@ func (b *beacon) Tick(k int, hw *big.Rat, inbox []timedsim.Message) []timedsim.S
 	return out
 }
 
-func (b *beacon) Logical(hw *big.Rat) float64 {
-	f, _ := hw.Float64()
-	return f
-}
+func (b *beacon) Logical(hw clockfn.Q) float64 { return hw.Float64() }
 
 func (b *beacon) Snapshot() string { return fmt.Sprint(b.heard) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 
 	"flm/internal/chaos"
@@ -172,6 +173,23 @@ func TestMakefileTraceDiffPinned(t *testing.T) {
 	} {
 		if !regexp.MustCompile(pattern).Match(data) {
 			t.Errorf("Makefile lost the %s leg (pattern %q)", name, pattern)
+		}
+	}
+}
+
+// TestMakefileScratchOnlyFromVariables: the smoke targets write their
+// scratch files where their variables say (CI points CACHE_WARM_DIR at
+// the runner's temp directory), so no recipe line may name /tmp/ itself;
+// only a ?= default may.
+func TestMakefileScratchOnlyFromVariables(t *testing.T) {
+	data, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := regexp.MustCompile(`^[A-Z_]+ \?= `)
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.Contains(line, "/tmp/") && !def.MatchString(line) && !strings.HasPrefix(line, "#") {
+			t.Errorf("Makefile line %d names /tmp/ outside a ?= default: %s", i+1, line)
 		}
 	}
 }

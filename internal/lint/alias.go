@@ -11,7 +11,9 @@ import (
 //     window into the executor's mailbox ring, which later rounds' mail
 //     overwrites;
 //   - timedsim.Device.Tick(k, hw, inbox): the inbox slice is reused
-//     between ticks and hw is an arena/scratch *big.Rat register.
+//     between ticks. hw is an immutable clockfn.Q value, which a device
+//     may keep; a pointer-typed parameter of a Tick method is still
+//     treated as a scratch register the executor owns.
 //
 // A device that stores one of these — directly, via a sub-slice, via a
 // pointer to an element, or through a local alias — into a struct field

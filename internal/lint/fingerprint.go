@@ -78,7 +78,7 @@ func runFingerprint(pass *Pass) {
 	// One pass over the whole package records every field object that is
 	// ever mutated: the target of an assignment (d.f = x, d.f += x,
 	// d.f++) or the receiver of a pointer-receiver method call
-	// (d.scratch.Set(hw) — the big.Rat arena idiom). Field objects are
+	// (d.scratch.Set(x) — the big.Rat register idiom). Field objects are
 	// identical *types.Var pointers across files of the package, so set
 	// membership is object identity.
 	assigned := make(map[*types.Var]bool)

@@ -14,8 +14,8 @@
 //     an obs.Enabled() (or nil-span) guard, preserving the zero-alloc
 //     disabled path TestExecuteUntracedAllocsLikeExecutor pins.
 //   - flmalias: Device Step/Tick implementations do not retain
-//     executor-owned buffers (inbox maps/slices, arena-backed *big.Rat
-//     scratch) in struct fields or package state.
+//     executor-owned buffers (inbox slices, pointer registers handed to
+//     Tick) in struct fields or package state.
 //
 // The suite runs as a `go vet -vettool` binary (cmd/flmlint, wired into
 // `make lint`) and deliberately depends only on the standard library:

@@ -23,13 +23,11 @@ import (
 	"flm/internal/graph"
 )
 
-// Message is a delivered payload with its exact send time. SentAt may be
-// shared between every message of one send event and the corresponding
-// records of the Run; it must be treated as immutable.
+// Message is a delivered payload with its exact send time.
 type Message struct {
 	From    string
 	Payload string
-	SentAt  *big.Rat
+	SentAt  clockfn.Q
 }
 
 // Send is an outgoing payload addressed to a neighbor.
@@ -51,17 +49,17 @@ type Device interface {
 	// Symmetrically, the returned Send slice is owned by the device and
 	// may be a buffer it reuses on the next Tick; the executor consumes
 	// it before ticking the device again.
-	Tick(k int, hw *big.Rat, inbox []Message) []Send
+	Tick(k int, hw clockfn.Q, inbox []Message) []Send
 	// Logical returns the logical clock value for a given hardware
 	// reading, using the device's current correction state.
-	Logical(hw *big.Rat) float64
+	Logical(hw clockfn.Q) float64
 	// Snapshot canonically encodes the device state.
 	Snapshot() string
 }
 
 // ScriptedSend is one replayed transmission of a faulty node.
 type ScriptedSend struct {
-	At      *big.Rat
+	At      clockfn.Q
 	To      string
 	Payload string
 }
@@ -82,6 +80,7 @@ type Node struct {
 // the hardware clocks — which is exactly the weakening FLM85 names as
 // making clock synchronization potentially possible on inadequate
 // graphs; TestScalingAxiomBrokenByRealDelay demonstrates the failure.
+// Execute only reads Delta and RealDelay.
 type System struct {
 	G         *graph.Graph
 	Nodes     []Node
@@ -92,44 +91,45 @@ type System struct {
 // TickRecord is one observed tick of one node.
 type TickRecord struct {
 	Index    int
-	Time     *big.Rat // real time
-	HW       *big.Rat // hardware reading (= Index * Delta)
+	Time     clockfn.Q // real time
+	HW       clockfn.Q // hardware reading (= Index * Delta)
 	Snapshot string
 	Logical  float64
 }
 
 // SendRecord is one observed transmission on a directed edge.
 type SendRecord struct {
-	At      *big.Rat
+	At      clockfn.Q
 	Payload string
 }
 
-// Run is a recorded timed system behavior. Its rationals live in a
-// per-execution arena and may be aliased between records of the same
-// event (a tick's Time is the SentAt of every message it sent); they
-// must be treated as immutable.
+// Run is a recorded timed system behavior.
 type Run struct {
 	G            *graph.Graph
-	Until        *big.Rat
+	Until        clockfn.Q
 	Ticks        [][]TickRecord
 	Sends        map[graph.Edge][]SendRecord
-	FinalLogical []float64  // logical clocks evaluated at time Until
-	FinalHW      []*big.Rat // hardware readings at time Until
+	FinalLogical []float64   // logical clocks evaluated at time Until
+	FinalHW      []clockfn.Q // hardware readings at time Until
 }
 
-// tickSched is one device node's tick schedule as an exact integer
-// fraction: with tick spacing Δ = dn/dd and hardware clock
-// (rn/rd)·t + (on/od), tick k happens at real time
-// (k·dn·od·rd − on·dd·rd) / (dd·od·rn). The denominator is positive and
-// fixed, so advancing to the next tick is a single in-place big.Int add
-// and the event scan compares fractions without allocating.
+// tickSched is one device node's tick schedule: its next tick k happens
+// at the real time next = D⁻¹(hw) for the hardware reading hw = kΔ. D is
+// affine, so both advance by constants, Δ and Δ/rate, exactly. ticks is
+// about the number of ticks through the run's end, which sizes the
+// node's records up front.
 type tickSched struct {
-	num, den, step big.Int
+	next, hw, step clockfn.Q
+	k, ticks       int
 }
+
+// maxPresize caps the records sized up front from a tick estimate; a
+// longer run grows them by appending.
+const maxPresize = 1 << 16
 
 // Execute runs the system from real time 0 through real time until
 // (inclusive) and records the behavior.
-func Execute(sys *System, until *big.Rat) (*Run, error) {
+func Execute(sys *System, until clockfn.Q) (*Run, error) {
 	g := sys.G
 	if len(sys.Nodes) != g.N() {
 		return nil, fmt.Errorf("timedsim: %d nodes configured for %d-node graph", len(sys.Nodes), g.N())
@@ -139,32 +139,25 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 	}
 	run := &Run{
 		G:            g,
-		Until:        new(big.Rat).Set(until),
+		Until:        until,
 		Ticks:        make([][]TickRecord, g.N()),
 		Sends:        make(map[graph.Edge][]SendRecord),
 		FinalLogical: make([]float64, g.N()),
-		FinalHW:      make([]*big.Rat, g.N()),
+		FinalHW:      make([]clockfn.Q, g.N()),
 	}
-	var (
-		scr   clockfn.RatScratch
-		arena ratArena
-	)
-	// Local copies of the shared parameters before any denominator is
-	// read: accessing a big.Rat's denominator materializes it in place,
-	// and the caller's Delta/clock rationals may be shared with systems
-	// executing concurrently (a prepared grid sweep).
-	delta := new(big.Rat).Set(sys.Delta)
-	dn, dd := delta.Num(), delta.Denom()
-	untilN, untilD := run.Until.Num(), run.Until.Denom()
+	delta := clockfn.FromRat(sys.Delta)
+	var realDelay clockfn.Q
+	if sys.RealDelay != nil {
+		realDelay = clockfn.FromRat(sys.RealDelay)
+	}
 
 	pending := make([][]Message, g.N())
 	sched := make([]tickSched, g.N())
-	nextTick := make([]int64, g.N()) // next tick index for device nodes; -1 for scripts
 	scriptPos := make([]int, g.N())
 	var inboxBuf []Message
 	for u := 0; u < g.N(); u++ {
 		node := sys.Nodes[u]
-		if node.Clock.Rate == nil || node.Clock.Rate.Sign() <= 0 {
+		if node.Clock.Rate.Sign() <= 0 {
 			return nil, fmt.Errorf("timedsim: node %s lacks an increasing hardware clock", g.Name(u))
 		}
 		if node.Device != nil {
@@ -174,61 +167,45 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 			// negative) real time. Anchoring to hardware rather than
 			// real time is what makes the Scaling axiom hold exactly —
 			// real time is unobservable in this model.
-			nextTick[u] = 0
-			var rate, off big.Rat
-			rate.Set(node.Clock.Rate)
-			off.Set(node.Clock.Off)
-			rn, rd := rate.Num(), rate.Denom()
-			on, od := off.Num(), off.Denom()
-			s := &sched[u]
-			s.den.Mul(dd, od)
-			s.den.Mul(&s.den, rn)
-			s.step.Mul(dn, od)
-			s.step.Mul(&s.step, rd)
-			s.num.Mul(on, dd)
-			s.num.Mul(&s.num, rd)
-			s.num.Neg(&s.num)
+			s := tickSched{
+				next: node.Clock.Inv(clockfn.Q{}),
+				step: delta.Quo(node.Clock.Rate),
+			}
+			if span := until.Sub(s.next); span.Sign() >= 0 {
+				s.ticks = int(min(span.Quo(s.step).Float64(), maxPresize)) + 1
+				run.Ticks[u] = make([]TickRecord, 0, s.ticks)
+			}
+			sched[u] = s
 		} else {
-			nextTick[u] = -1
 			// Scripts must be sorted by time for deterministic replay.
 			script := node.Script
 			for i := 1; i < len(script); i++ {
-				if scr.Cmp(script[i].At, script[i-1].At) < 0 {
+				if script[i].At.Cmp(script[i-1].At) < 0 {
 					return nil, fmt.Errorf("timedsim: script for node %s not sorted by time", g.Name(u))
 				}
 			}
 		}
 	}
 
-	var lim *big.Rat // scratch for the real-delay consumability cutoff
-	if sys.RealDelay != nil && sys.RealDelay.Sign() > 0 {
-		lim = new(big.Rat)
-	}
 	for {
-		// Find the earliest event: a device tick or a scripted send. The
-		// best candidate is tracked as a fraction bestN/bestD (bestD > 0)
-		// pointing into a schedule or a script time, so the whole scan is
-		// scratch comparisons.
-		bestNode, bestIsTick := -1, false
-		var bestN, bestD *big.Int
+		// Find the earliest event: a device tick or a scripted send.
+		bestNode := -1
+		var best clockfn.Q
 		for u := 0; u < g.N(); u++ {
 			node := &sys.Nodes[u]
+			var t clockfn.Q
 			if node.Device != nil {
-				s := &sched[u]
-				if scr.CmpFrac(&s.num, &s.den, untilN, untilD) > 0 {
-					continue
-				}
-				if bestNode < 0 || scr.CmpFrac(&s.num, &s.den, bestN, bestD) < 0 {
-					bestN, bestD, bestNode, bestIsTick = &s.num, &s.den, u, true
-				}
+				t = sched[u].next
 			} else if scriptPos[u] < len(node.Script) {
-				t := node.Script[scriptPos[u]].At
-				if scr.CmpFracRat(untilN, untilD, t) < 0 {
-					continue
-				}
-				if bestNode < 0 || scr.CmpFrac(t.Num(), t.Denom(), bestN, bestD) < 0 {
-					bestN, bestD, bestNode, bestIsTick = t.Num(), t.Denom(), u, false
-				}
+				t = node.Script[scriptPos[u]].At
+			} else {
+				continue
+			}
+			if t.Cmp(until) > 0 {
+				continue
+			}
+			if bestNode < 0 || t.Cmp(best) < 0 {
+				best, bestNode = t, u
 			}
 		}
 		if bestNode < 0 {
@@ -236,27 +213,22 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 		}
 		u := bestNode
 		node := sys.Nodes[u]
-		if bestIsTick {
-			k := nextTick[u]
+		if node.Device != nil {
 			s := &sched[u]
-			hw := arena.next()
-			hw.SetInt64(k)
-			hw.Mul(hw, delta)
-			now := arena.next().SetFrac(&s.num, &s.den)
+			k, now, hw := s.k, s.next, s.hw
 			// Split the consumable messages off pending[u] in place and
 			// sort them into the reused inbox buffer. Pending append
 			// order is non-decreasing in send time, so the stable
 			// insertion sort is near-linear and byte-identical to the
 			// specified (send time, sender, payload) stable order.
-			cutN, cutD := now.Num(), now.Denom()
-			if lim != nil {
-				lim.Sub(now, sys.RealDelay)
-				cutN, cutD = lim.Num(), lim.Denom()
+			cut := now
+			if realDelay.Sign() > 0 {
+				cut = now.Sub(realDelay)
 			}
 			inbox := inboxBuf[:0]
 			rest := pending[u][:0]
 			for _, m := range pending[u] {
-				if scr.CmpFracRat(cutN, cutD, m.SentAt) > 0 {
+				if m.SentAt.Cmp(cut) < 0 {
 					inbox = append(inbox, m)
 				} else {
 					rest = append(rest, m)
@@ -264,12 +236,12 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 			}
 			pending[u] = rest
 			for i := 1; i < len(inbox); i++ {
-				for j := i; j > 0 && msgLess(&scr, &inbox[j], &inbox[j-1]); j-- {
+				for j := i; j > 0 && msgLess(&inbox[j], &inbox[j-1]); j-- {
 					inbox[j], inbox[j-1] = inbox[j-1], inbox[j]
 				}
 			}
 			inboxBuf = inbox[:0]
-			sends := node.Device.Tick(int(k), hw, inbox)
+			sends := node.Device.Tick(k, hw, inbox)
 			for _, snd := range sends {
 				v, ok := g.Index(snd.To)
 				if !ok || !g.HasEdge(u, v) {
@@ -277,17 +249,20 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 				}
 				pending[v] = append(pending[v], Message{From: g.Name(u), Payload: snd.Payload, SentAt: now})
 				e := graph.Edge{From: g.Name(u), To: snd.To}
-				run.Sends[e] = append(run.Sends[e], SendRecord{At: now, Payload: snd.Payload})
+				recs := run.Sends[e]
+				if recs == nil { // one send a tick is the common shape
+					recs = make([]SendRecord, 0, max(s.ticks-k, 1))
+				}
+				run.Sends[e] = append(recs, SendRecord{At: now, Payload: snd.Payload})
 			}
 			run.Ticks[u] = append(run.Ticks[u], TickRecord{
-				Index:    int(k),
+				Index:    k,
 				Time:     now,
 				HW:       hw,
 				Snapshot: node.Device.Snapshot(),
 				Logical:  node.Device.Logical(hw),
 			})
-			nextTick[u] = k + 1
-			s.num.Add(&s.num, &s.step)
+			s.k, s.next, s.hw = k+1, now.Add(s.step), hw.Add(delta)
 		} else {
 			sc := node.Script[scriptPos[u]]
 			scriptPos[u]++
@@ -295,10 +270,9 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 			if !ok || !g.HasEdge(u, v) {
 				return nil, fmt.Errorf("timedsim: script for %s sends to non-neighbor %q", g.Name(u), sc.To)
 			}
-			at := arena.next().Set(sc.At)
-			pending[v] = append(pending[v], Message{From: g.Name(u), Payload: sc.Payload, SentAt: at})
+			pending[v] = append(pending[v], Message{From: g.Name(u), Payload: sc.Payload, SentAt: sc.At})
 			e := graph.Edge{From: g.Name(u), To: sc.To}
-			run.Sends[e] = append(run.Sends[e], SendRecord{At: at, Payload: sc.Payload})
+			run.Sends[e] = append(run.Sends[e], SendRecord{At: sc.At, Payload: sc.Payload})
 		}
 	}
 
@@ -314,8 +288,8 @@ func Execute(sys *System, until *big.Rat) (*Run, error) {
 
 // msgLess is the deterministic inbox order: send time, then sender, then
 // payload.
-func msgLess(scr *clockfn.RatScratch, a, b *Message) bool {
-	if c := scr.Cmp(a.SentAt, b.SentAt); c != 0 {
+func msgLess(a, b *Message) bool {
+	if c := a.SentAt.Cmp(b.SentAt); c != 0 {
 		return c < 0
 	}
 	if a.From != b.From {
@@ -375,7 +349,7 @@ func (d *renamedDevice) Init(self string, neighbors []string) {
 	// Inner device is initialized by the caller with its G-identity.
 }
 
-func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []Message) []Send {
+func (d *renamedDevice) Tick(k int, hw clockfn.Q, inbox []Message) []Send {
 	gInbox := d.gInbox[:0]
 	for _, m := range inbox {
 		if gFrom, ok := d.toG[m.From]; ok {
@@ -394,5 +368,5 @@ func (d *renamedDevice) Tick(k int, hw *big.Rat, inbox []Message) []Send {
 	return out
 }
 
-func (d *renamedDevice) Logical(hw *big.Rat) float64 { return d.inner.Logical(hw) }
-func (d *renamedDevice) Snapshot() string            { return d.inner.Snapshot() }
+func (d *renamedDevice) Logical(hw clockfn.Q) float64 { return d.inner.Logical(hw) }
+func (d *renamedDevice) Snapshot() string             { return d.inner.Snapshot() }

@@ -26,7 +26,7 @@ func (b *beacon) Init(self string, neighbors []string) {
 	b.heard = nil
 }
 
-func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message) []Send {
+func (b *beacon) Tick(k int, hw clockfn.Q, inbox []Message) []Send {
 	for _, m := range inbox {
 		b.heard = append(b.heard, m.From+":"+m.Payload)
 	}
@@ -37,14 +37,11 @@ func (b *beacon) Tick(k int, hw *big.Rat, inbox []Message) []Send {
 	return out
 }
 
-func (b *beacon) Logical(hw *big.Rat) float64 {
-	f, _ := hw.Float64()
-	return f
-}
+func (b *beacon) Logical(hw clockfn.Q) float64 { return hw.Float64() }
 
 func (b *beacon) Snapshot() string { return fmt.Sprint(b.heard) }
 
-func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
+func rat(n, d int64) clockfn.Q { return clockfn.NewQ(n, d) }
 
 func lineSystem(clockA, clockB clockfn.RatLinear) *System {
 	g := graph.Line(2)
@@ -54,7 +51,7 @@ func lineSystem(clockA, clockB clockfn.RatLinear) *System {
 			{Device: &beacon{}, Clock: clockA},
 			{Device: &beacon{}, Clock: clockB},
 		},
-		Delta: rat(1, 1),
+		Delta: big.NewRat(1, 1),
 	}
 }
 
@@ -74,9 +71,8 @@ func TestExecuteTickSchedule(t *testing.T) {
 	// Hardware readings are k*Delta.
 	for u := range run.Ticks {
 		for j, tick := range run.Ticks[u] {
-			want := new(big.Rat).SetInt64(int64(j))
-			if tick.HW.Cmp(want) != 0 {
-				t.Errorf("node %d tick %d hw = %s", u, j, tick.HW.RatString())
+			if tick.HW.Cmp(rat(int64(j), 1)) != 0 {
+				t.Errorf("node %d tick %d hw = %s", u, j, tick.HW)
 			}
 		}
 	}
@@ -109,7 +105,7 @@ func TestNegativeStartForOffsetClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if run.Ticks[0][0].Time.Cmp(rat(-2, 1)) != 0 {
-		t.Errorf("first tick at %s, want -2", run.Ticks[0][0].Time.RatString())
+		t.Errorf("first tick at %s, want -2", run.Ticks[0][0].Time)
 	}
 }
 
@@ -143,7 +139,7 @@ func TestScalingAxiom(t *testing.T) {
 			for j := range runA.Ticks[u] {
 				a, b := runA.Ticks[u][j], runB.Ticks[u][j]
 				if want := hInv.At(a.Time); want.Cmp(b.Time) != 0 {
-					t.Errorf("h=%s: node %d tick %d time %s, want %s", h, u, j, b.Time.RatString(), want.RatString())
+					t.Errorf("h=%s: node %d tick %d time %s, want %s", h, u, j, b.Time, want)
 				}
 				if a.Snapshot != b.Snapshot {
 					t.Errorf("h=%s: node %d tick %d snapshots differ", h, u, j)
@@ -205,7 +201,7 @@ func TestScalingAxiomBrokenByRealDelay(t *testing.T) {
 	h := clockfn.NewRatLinear(3, 1, 0, 1) // speed everything up 3x
 	mk := func(scale bool) *Run {
 		sys := lineSystem(clockfn.RatIdentity(), clockfn.NewRatLinear(1, 1, 0, 1))
-		sys.RealDelay = rat(3, 4) // fixed real-time delay
+		sys.RealDelay = big.NewRat(3, 4) // fixed real-time delay
 		until := rat(6, 1)
 		if scale {
 			sys.Nodes[0].Clock = sys.Nodes[0].Clock.ComposeRat(h)
@@ -239,7 +235,7 @@ func TestScalingAxiomBrokenByRealDelay(t *testing.T) {
 // TestRealDelayDefersConsumption pins the delay semantics directly.
 func TestRealDelayDefersConsumption(t *testing.T) {
 	sys := lineSystem(clockfn.RatIdentity(), clockfn.RatIdentity())
-	sys.RealDelay = rat(3, 2) // messages take 1.5 time units
+	sys.RealDelay = big.NewRat(3, 2) // messages take 1.5 time units
 	run, err := Execute(sys, rat(4, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +269,7 @@ func TestFaultAxiomTimed(t *testing.T) {
 			{Script: script, Clock: clockfn.RatIdentity()},
 			{Device: &beacon{}, Clock: clockfn.NewRatLinear(2, 1, 0, 1)},
 		},
-		Delta: rat(1, 1),
+		Delta: big.NewRat(1, 1),
 	}
 	runB, err := Execute(replaySys, until)
 	if err != nil {
@@ -292,27 +288,27 @@ func TestFaultAxiomTimed(t *testing.T) {
 
 func TestExecuteValidation(t *testing.T) {
 	g := graph.Line(2)
-	if _, err := Execute(&System{G: g, Nodes: []Node{{}}, Delta: rat(1, 1)}, rat(1, 1)); err == nil {
+	if _, err := Execute(&System{G: g, Nodes: []Node{{}}, Delta: big.NewRat(1, 1)}, rat(1, 1)); err == nil {
 		t.Error("node count mismatch accepted")
 	}
 	nodes := []Node{
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 	}
-	if _, err := Execute(&System{G: g, Nodes: nodes, Delta: rat(0, 1)}, rat(1, 1)); err == nil {
+	if _, err := Execute(&System{G: g, Nodes: nodes, Delta: big.NewRat(0, 1)}, rat(1, 1)); err == nil {
 		t.Error("zero delta accepted")
 	}
 	if _, err := Execute(&System{G: g, Nodes: []Node{
 		{Device: &beacon{}, Clock: clockfn.RatLinear{}},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
-	}, Delta: rat(1, 1)}, rat(1, 1)); err == nil {
+	}, Delta: big.NewRat(1, 1)}, rat(1, 1)); err == nil {
 		t.Error("missing clock accepted")
 	}
 	// Unsorted script.
 	if _, err := Execute(&System{G: g, Nodes: []Node{
 		{Script: []ScriptedSend{{At: rat(2, 1), To: "l1", Payload: "x"}, {At: rat(1, 1), To: "l1", Payload: "y"}}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
-	}, Delta: rat(1, 1)}, rat(3, 1)); err == nil {
+	}, Delta: big.NewRat(1, 1)}, rat(3, 1)); err == nil {
 		t.Error("unsorted script accepted")
 	}
 	// Script to non-neighbor.
@@ -321,7 +317,7 @@ func TestExecuteValidation(t *testing.T) {
 		{Script: []ScriptedSend{{At: rat(1, 1), To: "l2", Payload: "x"}}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
 		{Device: &beacon{}, Clock: clockfn.RatIdentity()},
-	}, Delta: rat(1, 1)}, rat(2, 1)); err == nil {
+	}, Delta: big.NewRat(1, 1)}, rat(2, 1)); err == nil {
 		t.Error("script to non-neighbor accepted")
 	}
 }

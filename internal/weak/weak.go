@@ -41,7 +41,8 @@ type detectDefault struct {
 	decided     bool
 	decision    string
 	out         sim.Outbox
-	snap        string // last Snapshot; "" once Init or Step changes the state
+	snap        string      // last Snapshot; "" once Init or Step changes the state
+	payload     sim.Payload // last broadcast; "" once input, anomaly or views change
 }
 
 var _ sim.Device = (*detectDefault)(nil)
@@ -75,7 +76,7 @@ func (d *detectDefault) Init(self string, neighbors []string, input sim.Input) {
 		d.anomaly = true
 	}
 	d.views = map[string]string{self: d.input}
-	d.snap = ""
+	d.snap, d.payload = "", ""
 }
 
 func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
@@ -108,8 +109,12 @@ func (d *detectDefault) Step(round int, inbox sim.Inbox) sim.Outbox {
 }
 
 // encode is "value|anomaly" plus the sorted view, so anomaly reports
-// propagate.
+// propagate. It is built once per change of those: the views settle
+// after a round or two, and the device broadcasts every round.
 func (d *detectDefault) encode() sim.Payload {
+	if d.payload != "" {
+		return d.payload
+	}
 	flag := "ok"
 	if d.anomaly {
 		flag = "bad"
@@ -124,15 +129,16 @@ func (d *detectDefault) encode() sim.Payload {
 	for _, k := range keys {
 		parts = append(parts, k+"="+d.views[k])
 	}
-	return sim.Payload(strings.Join(parts, "|"))
+	d.payload = sim.Payload(strings.Join(parts, "|"))
+	return d.payload
 }
 
-// flag records an anomaly, dropping the Snapshot memo only when it is
-// news: once set, the bit is re-raised every round a fault shows.
+// flag records an anomaly, dropping the memos only when it is news:
+// once set, the bit is re-raised every round a fault shows.
 func (d *detectDefault) flag() {
 	if !d.anomaly {
 		d.anomaly = true
-		d.snap = ""
+		d.snap, d.payload = "", ""
 	}
 }
 
@@ -144,7 +150,7 @@ func (d *detectDefault) ingest(sender, s string) {
 	}
 	if d.views[sender] != parts[0] {
 		d.views[sender] = parts[0]
-		d.snap = ""
+		d.snap, d.payload = "", ""
 	}
 	if parts[1] == "bad" {
 		d.flag()
@@ -166,7 +172,7 @@ func (d *detectDefault) ingest(sender, s string) {
 			d.flag() // two different reports about one node
 		} else if !seen {
 			d.views[subject] = v
-			d.snap = ""
+			d.snap, d.payload = "", ""
 		}
 	}
 }
