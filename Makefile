@@ -26,9 +26,6 @@
 #              machine noise), and the committed regressed fixture must
 #              trip the exit-3 gate — proving the gate both passes good
 #              traces and fails bad ones
-# obs-smoke    start `flm all -obs-listen` and curl /healthz, /metrics
-#              (expecting Prometheus flm_ series), and /progress while
-#              the run is live
 
 GO ?= go
 FLMLINT ?= bin/flmlint
@@ -44,9 +41,8 @@ TRACE_REF ?= cmd/flm/testdata/e1_reference_trace.jsonl
 TRACE_REGRESSED ?= cmd/flm/testdata/e1_regressed_trace.jsonl
 TRACE_DIFF_FILE ?= /tmp/flm-trace-diff.jsonl
 TRACE_DIFF_THRESHOLD ?= 5
-OBS_SMOKE_ADDR ?= 127.0.0.1:9177
 
-.PHONY: verify verify-race lint cache-warm chaos chaos-async trace-smoke trace-diff obs-smoke
+.PHONY: verify verify-race lint cache-warm chaos chaos-async trace-smoke trace-diff
 
 verify: lint
 	$(GO) build ./...
@@ -108,18 +104,3 @@ trace-diff:
 	status=$$?; \
 	test $$status -eq 3 || { echo "trace-diff: injected regression exited $$status, want 3" >&2; cat $(TRACE_DIFF_FILE).gate.txt >&2; exit 1; }; \
 	echo "trace-diff: injected regression tripped the exit-3 gate as expected"
-
-obs-smoke:
-	$(GO) build -o bin/flm ./cmd/flm
-	@set -e; \
-	dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	bin/flm all -obs-listen $(OBS_SMOKE_ADDR) > "$$dir/report.txt" 2>"$$dir/err.txt" & pid=$$!; \
-	up=0; for i in $$(seq 1 100); do \
-	  if curl -fsS http://$(OBS_SMOKE_ADDR)/healthz >/dev/null 2>&1; then up=1; break; fi; \
-	  sleep 0.05; done; \
-	test $$up -eq 1 || { echo "obs-smoke: /healthz never came up" >&2; cat "$$dir/err.txt" >&2; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -fsS http://$(OBS_SMOKE_ADDR)/metrics > "$$dir/metrics.txt"; \
-	grep -q '^flm_' "$$dir/metrics.txt" || { echo "obs-smoke: /metrics served no flm_ series" >&2; kill $$pid 2>/dev/null; exit 1; }; \
-	curl -fsS http://$(OBS_SMOKE_ADDR)/progress > "$$dir/progress.json"; \
-	wait $$pid; \
-	echo "obs-smoke: /healthz, /metrics ($$(grep -c '^flm_' "$$dir/metrics.txt") samples), and /progress all served during a live run"

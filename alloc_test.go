@@ -28,7 +28,7 @@ var allocCanaries = []struct {
 	run       func() error
 }{
 	{"timedsim-tick", 2942, 562259, timedTick},
-	{"timedsim-midpoint", 179357, 14202989, timedMidpoint},
+	{"timedsim-midpoint", 164518, 12152704, timedMidpoint},
 	{"eig-resolve", 17620, 3001724, eigResolve},
 	{"async-sched", 17207, 891739, asyncSched},
 	{"cache-evict", 58525, 3214437, cacheEvict},

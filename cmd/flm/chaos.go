@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"runtime/pprof"
 
 	"flm"
 )
@@ -24,7 +23,6 @@ func cmdChaos(args []string, out io.Writer) int {
 	async := fs.Bool("async", false, "adversarial asynchrony: every panel trial runs under a seeded delay schedule (and delay rules join the shrinker)")
 	deadset := fs.Bool("deadset", false, "initially-dead fault family: seeded dead subsets plus the FLP §4 initdead protocol on both sides of n > 2t")
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	obsListen := fs.String("obs-listen", "", "serve live /metrics, /healthz, /progress, and /debug/pprof on this address for the duration of the run; FLM_OBS_LISTEN is the env fallback")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -39,16 +37,7 @@ func cmdChaos(args []string, out io.Writer) int {
 		return 1
 	}
 	defer stop()
-	sess, err := startObs(obsListenTarget(*obsListen))
-	if err != nil {
-		fmt.Fprintf(out, "chaos: %v\n", err)
-		return 1
-	}
-	defer sess.stop()
-	// Label the harness's pprof context so CPU profiles attribute sweep
-	// worker samples to the chaos run (and per-worker via sweep_worker).
-	ctx := pprof.WithLabels(context.Background(), pprof.Labels("flm_cmd", "chaos"))
-	rep, err := flm.RunChaos(ctx, flm.ChaosConfig{
+	rep, err := flm.RunChaos(context.Background(), flm.ChaosConfig{
 		Seed:     *seed,
 		Trials:   *trials,
 		Timeout:  *timeout,

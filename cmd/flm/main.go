@@ -114,14 +114,6 @@ span, event, and metric of the invocation as JSON Lines; inspect the
 result with flm stats. Tracing off costs nothing: the engine runs its
 instrumentation-free path.
 
-Live observability: run, all, and chaos also accept
--obs-listen <addr> (env fallback FLM_OBS_LISTEN) to serve /metrics
-(Prometheus text), /healthz, /progress (JSON trials/workers/ETA
-snapshot), and /debug/pprof for the duration of the command, and
-FLM_OBS_INTERVAL=<duration> prints a progress/ETA line to stderr at
-that interval. Both are opt-in and cost nothing when unset; neither
-changes the report on stdout.
-
 Run cache: memoized executions live in a bounded in-memory tier
 (FLM_CACHE_BUDGET, default 256MiB) plus an on-disk content-addressed
 store shared across processes (FLM_CACHE_DIR, default the user cache
@@ -212,7 +204,6 @@ func cmdList(out io.Writer) int {
 func cmdRun(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	obsListen := fs.String("obs-listen", "", "serve live /metrics, /healthz, /progress, and /debug/pprof on this address for the duration of the run; FLM_OBS_LISTEN is the env fallback")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -228,12 +219,6 @@ func cmdRun(args []string, out io.Writer) int {
 		return 1
 	}
 	defer stop()
-	sess, err := startObs(obsListenTarget(*obsListen))
-	if err != nil {
-		fmt.Fprintf(out, "run: %v\n", err)
-		return 1
-	}
-	defer sess.stop()
 	for _, id := range ids {
 		e, ok := flm.FindExperiment(strings.ToUpper(id))
 		if !ok {
@@ -254,7 +239,6 @@ func cmdAll(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	outPath := fs.String("o", "", "also write the report to this file")
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	obsListen := fs.String("obs-listen", "", "serve live /metrics, /healthz, /progress, and /debug/pprof on this address for the duration of the run; FLM_OBS_LISTEN is the env fallback")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -275,12 +259,6 @@ func cmdAll(args []string, out io.Writer) int {
 		return 1
 	}
 	defer stop()
-	sess, err := startObs(obsListenTarget(*obsListen))
-	if err != nil {
-		fmt.Fprintf(out, "all: %v\n", err)
-		return 1
-	}
-	defer sess.stop()
 	for _, e := range flm.Experiments() {
 		res, err := runExperiment(e)
 		if err != nil {

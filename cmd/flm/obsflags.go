@@ -60,8 +60,6 @@ func runExperiment(e flm.Experiment) (*flm.ExperimentResult, error) {
 		return e.Run()
 	}
 	runBefore := flm.RunCacheStats()
-	obs.SetProgressPhase(e.ID)
-	defer obs.SetProgressPhase("")
 	_, span := obs.StartSpan(context.Background(), "flm.experiment",
 		obs.Str("id", e.ID), obs.Str("name", e.Name))
 	res, err := e.Run()

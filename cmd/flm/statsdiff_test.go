@@ -26,7 +26,7 @@ func baseTrace(t *testing.T, name string) string {
 		`{"t":"span","id":2,"name":"sim.execute","start_us":100,"dur_us":100,"attrs":{"cache":"hit","messages":10,"bytes":200}}`,
 		`{"t":"span","id":3,"name":"sim.execute","start_us":200,"dur_us":300,"attrs":{"cache":"miss","messages":10,"bytes":200}}`,
 		`{"t":"span","id":4,"name":"sweep.map","start_us":0,"dur_us":500,"attrs":{"trials":3}}`,
-		`{"t":"metrics","at_us":600,"counters":{"sim.exec.runs":1,"sweep.trials":3},"gauges":{"progress.trials.done":3}}`,
+		`{"t":"metrics","at_us":600,"counters":{"sim.exec.runs":1,"sweep.trials":3},"gauges":{"runcache.sim.run.entries":3}}`,
 	)
 }
 
@@ -52,7 +52,7 @@ func TestStatsDiffRegression(t *testing.T) {
 		`{"t":"span","id":2,"name":"sim.execute","start_us":300,"dur_us":300,"attrs":{"cache":"miss","messages":10,"bytes":200}}`,
 		`{"t":"span","id":3,"name":"sim.execute","start_us":600,"dur_us":300,"attrs":{"cache":"miss","messages":10,"bytes":200}}`,
 		`{"t":"span","id":4,"name":"sweep.map","start_us":0,"dur_us":900,"attrs":{"trials":3}}`,
-		`{"t":"metrics","at_us":1000,"counters":{"sim.exec.runs":3,"sweep.trials":3},"gauges":{"progress.trials.done":3}}`,
+		`{"t":"metrics","at_us":1000,"counters":{"sim.exec.runs":3,"sweep.trials":3},"gauges":{"runcache.sim.run.entries":9}}`,
 	)
 	out, code := capture(t, "stats", "-diff", old, cur)
 	if code != 3 {
@@ -64,7 +64,7 @@ func TestStatsDiffRegression(t *testing.T) {
 		}
 	}
 	// Gauges are point-in-time readings and must never gate.
-	if strings.Contains(out, "progress.trials.done") {
+	if strings.Contains(out, "runcache.sim.run.entries") {
 		t.Errorf("gauge leaked into the diff:\n%s", out)
 	}
 }

@@ -119,8 +119,6 @@ func traceChaos(t *testing.T) []byte {
 	t.Cleanup(restoreCache)
 	flm.ResetRunCaches()
 	obs.Metrics.Reset()
-	obs.ResetProgress()
-	t.Cleanup(obs.ResetProgress)
 
 	path := filepath.Join(t.TempDir(), "chaos.jsonl")
 	out, code := capture(t, "chaos", "-trace", path, "-seed", "1", "-trials", "6", "-workers", "1")
@@ -139,9 +137,7 @@ func traceChaos(t *testing.T) []byte {
 
 // TestTraceGoldenChaos pins the normalized trace of a small chaos run:
 // the chaos.run/chaos.shrink spans, every chaos.trial outcome event and
-// its attributes, the sweep.worker row, and the final metrics line
-// (including the progress gauges, which must hold their deterministic
-// final counts — elapsed/eta stay 0 since nothing snapshots them).
+// its attributes, the sweep.worker row, and the final metrics line.
 // Regenerate with `go test ./cmd/flm -run TestTraceGoldenChaos -update`.
 func TestTraceGoldenChaos(t *testing.T) {
 	got := normalizeTrace(t, traceChaos(t))

@@ -241,12 +241,11 @@ func (d *equivocator) Output() (sim.Decision, bool) { return sim.Decision{}, fal
 type noiseDevice struct {
 	//flmlint:allow flmfingerprint topology is keyed by the graph hash, not the device
 	neighbors []string
-	//flmlint:allow flmfingerprint rng stream is a pure function of seed and node name, both keyed
-	rng      *rand.Rand
-	seed     int64 // builder seed, pre node-name mixing (fingerprint identity)
-	round    int
-	alphabet []sim.Payload
-	out      sim.Outbox
+	rng       *rand.Rand
+	seed      int64 // builder seed, pre node-name mixing (fingerprint identity)
+	round     int
+	alphabet  []sim.Payload
+	out       sim.Outbox
 }
 
 var _ sim.Device = (*noiseDevice)(nil)

@@ -103,8 +103,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		ctx, runSpan = obs.StartSpan(ctx, "chaos.run",
 			obs.Int64("seed", cfg.Seed), obs.Int("trials", cfg.Trials))
 		defer runSpan.End()
-		obs.SetProgressPhase(fmt.Sprintf("chaos seed=%d", cfg.Seed))
-		defer obs.SetProgressPhase("")
 	}
 	schedules := make([]Schedule, cfg.Trials)
 	for i := range schedules {

@@ -8,9 +8,9 @@
 package clocksync
 
 import (
-	"fmt"
 	"math/big"
 	"sort"
+	"strconv"
 
 	"flm/internal/clockfn"
 	"flm/internal/timedsim"
@@ -149,6 +149,7 @@ type trimmedDevice struct {
 	scr      clockfn.RatScratch
 	readings []*big.Rat      // reused per-tick sort buffer
 	out      []timedsim.Send // reused outbox (consumed before the next Tick)
+	enc      []byte          // reused Snapshot encoding buffer
 }
 
 var _ timedsim.Device = (*trimmedDevice)(nil)
@@ -220,16 +221,9 @@ func (d *trimmedDevice) Logical(hw clockfn.Q) float64 {
 }
 
 func (d *trimmedDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.last))
-	for k := range d.last {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("trim(f=%d,corr=%s)", d.f, d.corr.RatString())
-	for _, k := range keys {
-		s += "|" + k + "=" + d.last[k].RatString()
-	}
-	return s
+	b := strconv.AppendInt(append(d.enc[:0], "trim(f="...), int64(d.f), 10)
+	d.enc = appendAveragingState(append(b, ",corr="...), d.corr, d.nbs, d.last)
+	return string(d.enc)
 }
 
 // midpointDevice averages: it broadcasts its corrected reading each tick
@@ -255,6 +249,7 @@ type midpointDevice struct {
 	adj  big.Rat // correction-step scratch
 	scr  clockfn.RatScratch
 	out  []timedsim.Send // reused outbox (consumed before the next Tick)
+	enc  []byte          // reused Snapshot encoding buffer
 }
 
 var _ timedsim.Device = (*midpointDevice)(nil)
@@ -326,14 +321,31 @@ func (d *midpointDevice) Logical(hw clockfn.Q) float64 {
 }
 
 func (d *midpointDevice) Snapshot() string {
-	keys := make([]string, 0, len(d.last))
-	for k := range d.last {
-		keys = append(keys, k)
+	d.enc = appendAveragingState(append(d.enc[:0], "mid(corr="...), d.corr, d.nbs, d.last)
+	return string(d.enc)
+}
+
+// appendAveragingState appends the rest of an averaging device's
+// snapshot: its correction, ")", then "|name=reading" for each neighbor
+// that has reported. Readings arrive only from neighbors, so walking the
+// sorted neighbor list visits exactly the keys of last in sorted order.
+// Each value is written as its RatString, without building the string.
+func appendAveragingState(b []byte, corr *big.Rat, nbs []string, last map[string]*big.Rat) []byte {
+	b = append(appendRat(b, corr), ')')
+	for _, nb := range nbs {
+		if v, ok := last[nb]; ok {
+			b = append(append(append(b, '|'), nb...), '=')
+			b = appendRat(b, v)
+		}
 	}
-	sort.Strings(keys)
-	s := fmt.Sprintf("mid(corr=%s)", d.corr.RatString())
-	for _, k := range keys {
-		s += "|" + k + "=" + d.last[k].RatString()
+	return b
+}
+
+// appendRat appends x.RatString().
+func appendRat(b []byte, x *big.Rat) []byte {
+	b = x.Num().Append(b, 10)
+	if x.IsInt() {
+		return b
 	}
-	return s
+	return x.Denom().Append(append(b, '/'), 10)
 }

@@ -127,15 +127,15 @@ func TestMakefileChaosDefaultsPinned(t *testing.T) {
 }
 
 // TestCIObservabilitySmokePinned: the workflow's trace-smoke job runs
-// all three observability legs — the stats summary, the trace-diff
-// regression gate, and the live-endpoint smoke — so none of them can be
-// dropped without this test noticing.
+// both observability legs — the stats summary and the trace-diff
+// regression gate — so neither can be dropped without this test
+// noticing.
 func TestCIObservabilitySmokePinned(t *testing.T) {
 	data, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, target := range []string{"make trace-smoke", "make trace-diff", "make obs-smoke"} {
+	for _, target := range []string{"make trace-smoke", "make trace-diff"} {
 		if !regexp.MustCompile(`(?m)run:\s+` + target + `\b`).Match(data) {
 			t.Errorf("CI workflow no longer runs %q", target)
 		}
@@ -144,8 +144,7 @@ func TestCIObservabilitySmokePinned(t *testing.T) {
 
 // TestMakefileTraceDiffPinned: the trace-diff target keeps its three
 // legs (self-diff, committed reference, injected regression expecting
-// exit 3) against the committed fixtures, and the fixtures exist. The
-// obs-smoke target keeps its three endpoint curls.
+// exit 3) against the committed fixtures, and the fixtures exist.
 func TestMakefileTraceDiffPinned(t *testing.T) {
 	data, err := os.ReadFile("../../Makefile")
 	if err != nil {
@@ -166,10 +165,6 @@ func TestMakefileTraceDiffPinned(t *testing.T) {
 		"trace-diff self-diff":          `stats -diff \$\(TRACE_DIFF_FILE\) \$\(TRACE_DIFF_FILE\)`,
 		"trace-diff reference leg":      `stats -diff -notiming -threshold \$\(TRACE_DIFF_THRESHOLD\) \$\(TRACE_REF\)`,
 		"trace-diff exit-3 expectation": `test \$\$status -eq 3`,
-		"obs-smoke healthz curl":        `/healthz`,
-		"obs-smoke metrics curl":        `/metrics`,
-		"obs-smoke progress curl":       `/progress`,
-		"obs-smoke prometheus check":    `\^flm_`,
 	} {
 		if !regexp.MustCompile(pattern).Match(data) {
 			t.Errorf("Makefile lost the %s leg (pattern %q)", name, pattern)

@@ -28,8 +28,8 @@
 //
 // on the flagged line, on the line directly above it, or in the doc
 // comment of the enclosing declaration (which silences the whole
-// declaration). The reason is mandatory; a directive without one, or
-// naming an unknown analyzer, is itself a finding.
+// declaration). The reason is mandatory; a directive without one,
+// naming an unknown analyzer, or silencing nothing is itself a finding.
 package lint
 
 import (
@@ -106,17 +106,33 @@ func analyzerNames() map[string]bool {
 	return m
 }
 
+// directive is one well-formed allow directive; used records whether
+// it silenced a finding.
+type directive struct {
+	analyzer string
+	pos      token.Position
+	used     bool
+}
+
 // unit is the shared per-package state: the allow-directive index and
 // the accumulated diagnostics of every analyzer that ran.
 type unit struct {
 	fset *token.FileSet
-	// allow maps filename -> analyzer -> set of covered lines.
-	allow map[string]map[string]map[int]bool
-	diags []Diagnostic
+	// allow maps filename -> analyzer -> covered line -> the directive
+	// covering it (the innermost one, where a line directive sits inside
+	// a declaration whose doc comment also covers it).
+	allow      map[string]map[string]map[int]*directive
+	directives []*directive
+	diags      []Diagnostic
 }
 
 func (u *unit) allowed(analyzer string, pos token.Position) bool {
-	return u.allow[pos.Filename][analyzer][pos.Line]
+	d := u.allow[pos.Filename][analyzer][pos.Line]
+	if d == nil {
+		return false
+	}
+	d.used = true
+	return true
 }
 
 const directivePrefix = "//flmlint:allow"
@@ -127,19 +143,19 @@ const directivePrefix = "//flmlint:allow"
 // declaration (struct fields included, so a field-level doc comment
 // silences exactly that field).
 func (u *unit) indexDirectives(file *ast.File, known map[string]bool) {
-	cover := func(analyzer string, from, to int, filename string) {
-		byAnalyzer := u.allow[filename]
+	cover := func(d *directive, from, to int) {
+		byAnalyzer := u.allow[d.pos.Filename]
 		if byAnalyzer == nil {
-			byAnalyzer = make(map[string]map[int]bool)
-			u.allow[filename] = byAnalyzer
+			byAnalyzer = make(map[string]map[int]*directive)
+			u.allow[d.pos.Filename] = byAnalyzer
 		}
-		lines := byAnalyzer[analyzer]
+		lines := byAnalyzer[d.analyzer]
 		if lines == nil {
-			lines = make(map[int]bool)
-			byAnalyzer[analyzer] = lines
+			lines = make(map[int]*directive)
+			byAnalyzer[d.analyzer] = lines
 		}
 		for l := from; l <= to; l++ {
-			lines[l] = true
+			lines[l] = d
 		}
 	}
 
@@ -203,12 +219,13 @@ func (u *unit) indexDirectives(file *ast.File, known map[string]bool) {
 			if analyzer == "" {
 				continue
 			}
-			pos := u.fset.Position(c.Pos())
+			d := &directive{analyzer: analyzer, pos: u.fset.Position(c.Pos())}
+			u.directives = append(u.directives, d)
 			if r, ok := docRange[cg]; ok {
-				cover(analyzer, u.fset.Position(r[0]).Line, u.fset.Position(r[1]).Line, pos.Filename)
+				cover(d, u.fset.Position(r[0]).Line, u.fset.Position(r[1]).Line)
 				continue
 			}
-			cover(analyzer, pos.Line, pos.Line+1, pos.Filename)
+			cover(d, d.pos.Line, d.pos.Line+1)
 		}
 	}
 }
@@ -224,9 +241,10 @@ func knownList(known map[string]bool) string {
 
 // RunAnalyzers type-checks nothing — it runs the given analyzers over an
 // already-checked package and returns the surviving diagnostics sorted
-// by position. Directive validation runs exactly once per package.
+// by position. Directive validation runs exactly once per package; a
+// directive for an analyzer that ran and silenced nothing is reported.
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) []Diagnostic {
-	u := &unit{fset: fset, allow: make(map[string]map[string]map[int]bool)}
+	u := &unit{fset: fset, allow: make(map[string]map[string]map[int]*directive)}
 	known := analyzerNames()
 	for _, f := range files {
 		u.indexDirectives(f, known)
@@ -240,6 +258,19 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			TypesInfo: info,
 			unit:      u,
 		})
+	}
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	for _, d := range u.directives {
+		if ran[d.analyzer] && !d.used {
+			u.diags = append(u.diags, Diagnostic{
+				Analyzer: "flmlint",
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("flmlint directive for %s silences nothing: delete it", d.analyzer),
+			})
+		}
 	}
 	sort.Slice(u.diags, func(i, j int) bool {
 		a, b := u.diags[i].Pos, u.diags[j].Pos

@@ -236,11 +236,6 @@ func checkObsCall(pass *Pass, call *ast.CallExpr, guarded bool) {
 			} else if len(call.Args) == 2 && containsCall(call.Args[1]) {
 				pass.Reportf(call.Pos(), "obs.%s computes its name outside an obs.Enabled() guard: the expression runs even when tracing is off", name)
 			}
-		case "SetProgressPhase", "ProgressSweepStart", "ProgressTrialStart", "ProgressTrialDone", "ProgressTrialFault":
-			// The progress mutators take the progress mutex and touch the
-			// per-worker map — engine hot paths must only reach them when
-			// tracing is on.
-			pass.Reportf(call.Pos(), "obs.%s mutates live-progress state (mutex + worker map) outside an obs.Enabled() guard: the disabled path must not pay for telemetry", name)
 		}
 		return
 	}

@@ -15,3 +15,13 @@ func allowedSingleLine() {
 	_ = time.Now()
 	_ = time.Now() // the directive covers only the lines above // want `time\.Now in deterministic package`
 }
+
+// A directive that silences nothing is itself a finding, so an exception
+// cannot outlive the code it excused. A directive for an analyzer that
+// did not run is not judged.
+func allowedNothing() {
+	//flmlint:allow flmdeterminism fixture: nothing below reads the clock // want `flmlint directive for flmdeterminism silences nothing`
+	_ = 0
+	//flmlint:allow flmobscost fixture: flmobscost does not run on this fixture
+	_ = 1
+}

@@ -37,16 +37,3 @@ func StartSpan(ctx context.Context, name string, attrs ...Attr) (context.Context
 }
 
 func Event(ctx context.Context, name string, attrs ...Attr) {}
-
-// Progress mutators: mutex + worker-map cost, guarded like attrs.
-
-type SweepTicket struct{ n int }
-
-func (t SweepTicket) Finish() {}
-
-func SetProgressPhase(phase string)         {}
-func ProgressSweepStart(n int) SweepTicket  { return SweepTicket{n} }
-func ProgressTrialStart()                   {}
-func ProgressTrialDone(worker int, d int64) {}
-func ProgressTrialFault(worker int)         {}
-func ResetProgress()                        {}

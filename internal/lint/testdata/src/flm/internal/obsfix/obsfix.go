@@ -79,39 +79,3 @@ func guardedClosure(ctx context.Context) {
 func annotatedHelper(ctx context.Context) {
 	obs.Event(ctx, "helper", obs.Int("n", 1))
 }
-
-func unguardedProgress() {
-	obs.SetProgressPhase("E1")      // want `obs\.SetProgressPhase mutates live-progress state \(mutex \+ worker map\) outside an obs\.Enabled\(\) guard`
-	t := obs.ProgressSweepStart(10) // want `obs\.ProgressSweepStart mutates live-progress state`
-	obs.ProgressTrialStart()        // want `obs\.ProgressTrialStart mutates live-progress state`
-	obs.ProgressTrialDone(0, 40)    // want `obs\.ProgressTrialDone mutates live-progress state`
-	obs.ProgressTrialFault(0)       // want `obs\.ProgressTrialFault mutates live-progress state`
-	obs.ResetProgress()             // session setup, not a hot path: never flagged
-	t.Finish()
-}
-
-func guardedProgress() {
-	if !obs.Enabled() {
-		return
-	}
-	obs.SetProgressPhase("E1")
-	t := obs.ProgressSweepStart(10)
-	defer t.Finish()
-	obs.ProgressTrialStart()
-	obs.ProgressTrialDone(0, 40)
-	obs.ProgressTrialFault(0)
-}
-
-func guardedProgressByBundle(wo *workerObs) {
-	if wo != nil {
-		obs.ProgressTrialDone(0, int64(wo.trials))
-	}
-}
-
-// progressHelper models sweep's workerObs methods: called only from the
-// traced path, declared rather than visible to the analyzer.
-//
-//flmlint:allow flmobscost fixture: reached only when a sweep span is open
-func progressHelper() {
-	obs.ProgressTrialStart()
-}

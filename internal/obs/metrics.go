@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,8 +19,7 @@ import (
 
 // Counter is a monotonically increasing counter.
 type Counter struct {
-	name string
-	v    atomic.Uint64
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -35,8 +33,7 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a settable instantaneous value.
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Set stores v.
@@ -48,18 +45,13 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram accumulates a distribution of non-negative integer samples
-// (the engine records durations in microseconds) in power-of-two
-// buckets: bucket i counts samples whose bit length is i, i.e. values in
-// [2^(i-1), 2^i). Count, sum, and max are exact; the buckets bound any
-// quantile within a factor of two, which is plenty for "where did the
-// time go".
+// Histogram accumulates the count, sum, and max of non-negative integer
+// samples (the engine records durations in microseconds): enough for a
+// mean and a worst case, which is what the trace's metrics line carries.
 type Histogram struct {
-	name    string
-	count   atomic.Uint64
-	sum     atomic.Uint64
-	max     atomic.Uint64
-	buckets [65]atomic.Uint64
+	count atomic.Uint64
+	sum   atomic.Uint64
+	max   atomic.Uint64
 }
 
 // Observe records one sample.
@@ -72,7 +64,6 @@ func (h *Histogram) Observe(v uint64) {
 			break
 		}
 	}
-	h.buckets[bits.Len64(v)].Add(1)
 }
 
 // HistogramSnapshot is a point-in-time view of a histogram.
@@ -121,7 +112,7 @@ func (r *Registry) NewCounter(name string) *Counter {
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
-	c := &Counter{name: name}
+	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
@@ -134,7 +125,7 @@ func (r *Registry) NewGauge(name string) *Gauge {
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
-	g := &Gauge{name: name}
+	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
@@ -147,7 +138,7 @@ func (r *Registry) NewHistogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{name: name}
+	h := &Histogram{}
 	r.hists[name] = h
 	return h
 }
@@ -206,9 +197,6 @@ func (r *Registry) Reset() {
 		h.count.Store(0)
 		h.sum.Store(0)
 		h.max.Store(0)
-		for i := range h.buckets {
-			h.buckets[i].Store(0)
-		}
 	}
 }
 

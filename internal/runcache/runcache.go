@@ -46,6 +46,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -638,7 +639,8 @@ func envBudget() int64 {
 // ParseBudget parses a FLM_CACHE_BUDGET value. The empty string is the
 // default budget; "unbounded" (or any negative number) lifts the bound;
 // otherwise a non-negative integer with an optional binary-unit suffix
-// (K/KB/KiB, M/MB/MiB, G/GB/GiB, case-insensitive).
+// (K/KB/KiB, M/MB/MiB, G/GB/GiB, case-insensitive). A size past
+// MaxInt64 bytes is malformed (ok false), not wrapped.
 func ParseBudget(s string) (bytes int64, ok bool) {
 	s = strings.TrimSpace(strings.ToLower(s))
 	if s == "" {
@@ -668,6 +670,9 @@ func ParseBudget(s string) (bytes int64, ok bool) {
 	}
 	if n < 0 {
 		return -1, true
+	}
+	if n > math.MaxInt64/mult {
+		return 0, false
 	}
 	return n * mult, true
 }

@@ -270,6 +270,10 @@ func TestParseBudget(t *testing.T) {
 		{" 5 MiB ", 5 << 20, true},
 		{"nonsense", 0, false},
 		{"12q", 0, false},
+		{"8589934591G", 8589934591 << 30, true}, // the largest count of G that fits
+		{"8589934592G", 0, false},               // 2^63 wraps to MinInt64
+		{"17179869184G", 0, false},              // 2^64 wraps to 0
+		{"99999999999999999999", 0, false},
 	}
 	for _, tc := range cases {
 		got, ok := ParseBudget(tc.in)

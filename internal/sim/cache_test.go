@@ -48,7 +48,7 @@ func (d *opaqueDevice) Step(round int, inbox Inbox) Outbox {
 func (d *opaqueDevice) Snapshot() string         { return "opaque" }
 func (d *opaqueDevice) Output() (Decision, bool) { return Decision{}, false }
 
-func triangle(t *testing.T) *graph.Graph {
+func triangle(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := graph.MustNew("a", "b", "c")
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}} {
@@ -59,7 +59,7 @@ func triangle(t *testing.T) *graph.Graph {
 	return g
 }
 
-func countingSystem(t *testing.T, g *graph.Graph, tag string, steps *atomic.Int64) *System {
+func countingSystem(t testing.TB, g *graph.Graph, tag string, steps *atomic.Int64) *System {
 	t.Helper()
 	p := Protocol{Builders: map[string]Builder{}, Inputs: map[string]Input{}}
 	for _, name := range g.Names() {

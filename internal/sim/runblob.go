@@ -113,7 +113,7 @@ func (RunCodec) Decode(data []byte) (any, error) {
 	if magic := d.str(); magic != runBlobMagic {
 		return nil, fmt.Errorf("sim: run blob magic %q", magic)
 	}
-	n := d.count(maxBlobNodes)
+	n := d.items(maxBlobNodes)
 	names := make([]string, n)
 	for u := range names {
 		names[u] = d.str()
@@ -152,8 +152,7 @@ func (RunCodec) Decode(data []byte) (any, error) {
 		intern := make(map[string]string, 2*n)
 		r.Snapshots = make([][]string, n)
 		for u := 0; u < n && d.err == nil; u++ {
-			rounds := d.count(1 << 30)
-			r.Snapshots[u] = make([]string, rounds)
+			r.Snapshots[u] = make([]string, d.items(1<<30))
 			for i := range r.Snapshots[u] {
 				s := d.str()
 				if c, ok := intern[s]; ok {
@@ -172,8 +171,7 @@ func (RunCodec) Decode(data []byte) (any, error) {
 			if d.err != nil {
 				break
 			}
-			rounds := d.count(1 << 30)
-			seq := make([]Payload, rounds)
+			seq := make([]Payload, d.items(1<<30))
 			for i := range seq {
 				p := Payload(d.str())
 				if c, ok := intern[p]; ok {
@@ -266,8 +264,7 @@ func (d *blobReader) uvarint() uint64 {
 	return v
 }
 
-// count reads a non-negative count and bounds it, guarding allocations
-// against damaged blobs.
+// count reads a non-negative count and bounds it by max.
 func (d *blobReader) count(max int) int {
 	v := d.uvarint()
 	if d.err == nil && v > uint64(max) {
@@ -276,6 +273,12 @@ func (d *blobReader) count(max int) int {
 	}
 	return int(v)
 }
+
+// items reads the count of a sequence that is about to be allocated.
+// Every element takes at least one byte, so the bytes left bound the
+// count as well as max does: a crafted count cannot make Decode
+// allocate more than its input justifies.
+func (d *blobReader) items(max int) int { return d.count(min(max, len(d.data))) }
 
 func (d *blobReader) str() string {
 	n := d.uvarint()

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -10,7 +13,7 @@ import (
 
 // execForBlob runs a counting system and returns its recorded run plus
 // the cache key it was (or would be) stored under.
-func execForBlob(t *testing.T, tag string, rounds int, opts ExecuteOpts) *Run {
+func execForBlob(t testing.TB, tag string, rounds int, opts ExecuteOpts) *Run {
 	t.Helper()
 	var steps atomic.Int64
 	r, err := ExecuteWith(countingSystem(t, triangle(t), tag, &steps), rounds, opts)
@@ -22,7 +25,7 @@ func execForBlob(t *testing.T, tag string, rounds int, opts ExecuteOpts) *Run {
 
 // assertRunsEqual compares every observable field of two runs, including
 // the reconstructed graph.
-func assertRunsEqual(t *testing.T, got, want *Run) {
+func assertRunsEqual(t testing.TB, got, want *Run) {
 	t.Helper()
 	if !reflect.DeepEqual(got.G.Names(), want.G.Names()) {
 		t.Fatalf("names: got %v want %v", got.G.Names(), want.G.Names())
@@ -134,6 +137,86 @@ func TestRunBlobByteFlipsNeverPanic(t *testing.T) {
 			RunCodec{}.Decode(mut)
 		}()
 	}
+}
+
+// craftedRowsBlob is a 27-byte blob claiming one node whose snapshot
+// row holds 2^20 strings, with no bytes behind the claim.
+func craftedRowsBlob() []byte {
+	b := appendBlobStr(nil, runBlobMagic)
+	b = binary.AppendUvarint(b, 1) // nodes
+	b = appendBlobStr(b, "a")
+	b = binary.AppendUvarint(b, 0) // edges
+	b = binary.AppendUvarint(b, 0) // rounds
+	b = appendBlobStr(b, "")       // input
+	b = appendBlobStr(b, "")       // decision value
+	b = binary.AppendUvarint(b, 0) // decision round
+	b = append(b, 1)               // flags: snapshots recorded
+	return binary.AppendUvarint(b, 1<<20)
+}
+
+// TestRunBlobDecodeAllocationBoundedByInput: a row count is bounded by
+// the bytes left, so a blob that claims 2^20 snapshots it does not hold
+// is rejected without allocating for them (16 MiB of string headers).
+func TestRunBlobDecodeAllocationBoundedByInput(t *testing.T) {
+	blob := craftedRowsBlob()
+	if len(blob) != 27 {
+		t.Fatalf("crafted blob is %d bytes, want 27", len(blob))
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunCodec{}.Decode(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatal("Decode accepted a blob whose snapshot rows are missing")
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("Decode of a 27-byte blob allocated %d bytes, want under 64 KiB", least)
+	}
+}
+
+// FuzzRunCodecDecode feeds Decode arbitrary bytes. It must never panic,
+// and a run it accepts must survive a round trip: decoding Encode's blob
+// of it gives an equal run. The seeds run in plain go test.
+func FuzzRunCodecDecode(f *testing.F) {
+	for _, r := range []*Run{
+		execForBlob(f, "fuzz-full", 3, FullRecording),
+		execForBlob(f, "fuzz-fast", 2, ExecuteOpts{}),
+	} {
+		blob, ok := RunCodec{}.Encode(r)
+		if !ok {
+			f.Fatal("Encode declined a seed run")
+		}
+		f.Add(blob)
+		for _, n := range []int{1, 16, len(blob) / 2, len(blob) - 1} {
+			f.Add(blob[:n])
+		}
+		for _, i := range []int{15, 17, len(blob) / 2, len(blob) - 1} {
+			flipped := append([]byte(nil), blob...)
+			flipped[i] ^= 0xff
+			f.Add(flipped)
+		}
+	}
+	f.Add(craftedRowsBlob())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		v, err := RunCodec{}.Decode(data)
+		if err != nil {
+			return
+		}
+		r := v.(*Run)
+		blob, ok := RunCodec{}.Encode(r)
+		if !ok {
+			return
+		}
+		again, err := RunCodec{}.Decode(blob)
+		if err != nil {
+			t.Fatalf("Decode rejected the re-encoded blob of a run it accepted: %v", err)
+		}
+		assertRunsEqual(t, again.(*Run), r)
+	})
 }
 
 // TestDiskWarmStart is the cross-process reuse proof at the sim layer:

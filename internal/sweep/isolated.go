@@ -99,8 +99,6 @@ func Isolated[T any](ctx context.Context, n int, o Opts, fn func(i int) (T, erro
 			obs.Int("trials", n), obs.Int("workers", workers),
 			obs.Int64("timeout_us", int64(o.Timeout/time.Microsecond)))
 		mSweeps.Inc()
-		ticket := obs.ProgressSweepStart(n)
-		defer ticket.Finish()
 	}
 	started := pool(ctx, n, workers, func() bool { return ctx.Err() != nil }, func(i int) bool {
 		results[i], errs[i] = runIsolated(ctx, i, o.Timeout, fn)

@@ -101,8 +101,6 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 			obs.Int("trials", n), obs.Int("workers", workers))
 		mSweeps.Inc()
 		defer sweepSpan.End()
-		ticket := obs.ProgressSweepStart(n)
-		defer ticket.Finish()
 	}
 	var (
 		failed   atomic.Bool // set once any trial errors
@@ -132,9 +130,8 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // until the indices run out or stop reports true; trial reports whether
 // the trial failed. Worker 0 runs on the calling goroutine, so a
 // one-worker sweep starts no goroutine. Under tracing each worker opens a
-// sweep.worker span; with pprof labels on ctx each runs under doLabeled.
-// pool returns how many indices were claimed: a stopped sweep never
-// started the trials from that index on.
+// sweep.worker span. pool returns how many indices were claimed: a
+// stopped sweep never started the trials from that index on.
 func pool(ctx context.Context, n, workers int, stop func() bool, trial func(i int) bool) int {
 	var next atomic.Int64 // next trial index to claim
 	traced := obs.Enabled()
@@ -145,27 +142,25 @@ func pool(ctx context.Context, n, workers int, stop func() bool, trial func(i in
 		if traced {
 			_, ws = obs.StartSpan(ctx, "sweep.worker", obs.Int("worker", w))
 			started = time.Now()
-			wo = &workerObs{worker: w}
+			wo = &workerObs{}
 		}
-		doLabeled(ctx, w, func() {
-			for !stop() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				var t0 time.Time
-				if wo != nil {
-					t0 = wo.begin()
-				}
-				failed := trial(i)
-				if wo != nil {
-					wo.record(time.Since(t0))
-					if failed {
-						wo.fault()
-					}
+		for !stop() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				break
+			}
+			var t0 time.Time
+			if wo != nil {
+				t0 = wo.begin()
+			}
+			failed := trial(i)
+			if wo != nil {
+				wo.record(time.Since(t0))
+				if failed {
+					wo.fault()
 				}
 			}
-		})
+		}
 		if wo != nil {
 			wo.finish(ws, started)
 		}

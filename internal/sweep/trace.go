@@ -1,9 +1,6 @@
 package sweep
 
 import (
-	"context"
-	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"flm/internal/obs"
@@ -25,40 +22,30 @@ var (
 // workerObs accumulates one worker's contribution to a traced sweep.
 // Methods are called by the owning worker goroutine only.
 type workerObs struct {
-	worker int
 	trials int
 	faults int
 	busy   time.Duration
 }
 
-// begin marks one trial claimed (live progress) and returns its start
-// instant for record.
+// begin returns one trial's start instant for record.
 //
-//flmlint:allow flmdeterminism wall clock feeds span timing and progress only, never a result
-//flmlint:allow flmobscost called only on the traced path, where wo is non-nil
+//flmlint:allow flmdeterminism wall clock feeds span timing only, never a result
 func (wo *workerObs) begin() time.Time {
-	obs.ProgressTrialStart()
 	return time.Now()
 }
 
 // record books one finished trial.
-//
-//flmlint:allow flmobscost called only on the traced path, where wo is non-nil
 func (wo *workerObs) record(d time.Duration) {
 	wo.trials++
 	wo.busy += d
 	mSweepTrials.Inc()
 	hTrialDur.Observe(uint64(d / time.Microsecond))
-	obs.ProgressTrialDone(wo.worker, d)
 }
 
 // fault books one failed trial.
-//
-//flmlint:allow flmobscost called only on the traced path, where wo is non-nil
 func (wo *workerObs) fault() {
 	wo.faults++
 	mTrialFaults.Inc()
-	obs.ProgressTrialFault(wo.worker)
 }
 
 // finish closes the worker's span with its aggregate attributes. The
@@ -78,29 +65,4 @@ func (wo *workerObs) finish(span *obs.Span, started time.Time) {
 		obs.Int64("busy_us", int64(wo.busy/time.Microsecond)),
 		obs.Int64("idle_us", int64(idle/time.Microsecond)))
 	span.End()
-}
-
-// ctxHasLabels reports whether ctx carries any pprof labels.
-func ctxHasLabels(ctx context.Context) bool {
-	has := false
-	pprof.ForLabels(ctx, func(string, string) bool {
-		has = true
-		return false
-	})
-	return has
-}
-
-// doLabeled runs f under the context's pprof label set extended with
-// this worker's index, so CPU profile samples of a labeled sweep (e.g.
-// `flm chaos` tagging the harness) attribute to both the caller's label
-// and the worker. With an unlabeled context it runs f directly —
-// pprof.Do would replace the goroutine's inherited labels (the tag a
-// worker picks up from its spawner) with an empty set, which is exactly
-// the attribution we must not lose.
-func doLabeled(ctx context.Context, w int, f func()) {
-	if !ctxHasLabels(ctx) {
-		f()
-		return
-	}
-	pprof.Do(ctx, pprof.Labels("sweep_worker", strconv.Itoa(w)), func(context.Context) { f() })
 }
