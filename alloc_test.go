@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"flm"
+	"flm/internal/clockfn"
+	"flm/internal/clocksync"
 	"flm/internal/runcache"
 )
 
@@ -28,7 +30,8 @@ var allocCanaries = []struct {
 	run       func() error
 }{
 	{"timedsim-tick", 2942, 562259, timedTick},
-	{"timedsim-midpoint", 164518, 12152704, timedMidpoint},
+	{"timedsim-midpoint", 12808, 2126767, timedMidpoint},
+	{"timedsim-trimmed", 5196, 696925, timedTrimmed},
 	{"eig-resolve", 17620, 3001724, eigResolve},
 	{"async-sched", 17207, 891739, asyncSched},
 	{"cache-evict", 58525, 3214437, cacheEvict},
@@ -107,11 +110,44 @@ func measureAllocs(fn func() error) (allocs, bytes uint64, err error) {
 // delivery, all of it inline int64 clockfn.Q arithmetic.
 func timedTick() error { return clockRing(flm.NewChaseClock(ringEnvelope)) }
 
-// timedMidpoint isolates the averaging devices' big.Rat path: the same
+// timedMidpoint isolates the averaging devices' registers: the same
 // ring of midpoint devices, whose corrections halve every tick and
 // outgrow int64, so every tick parses, averages and formats multi-word
-// rationals in the devices' scratch registers.
+// dyadic values in the devices' clockfn.Reg registers.
 func timedMidpoint() error { return clockRing(flm.NewMidpointClock(ringEnvelope)) }
+
+// timedTrimmed isolates the trimmed-midpoint device and the timed
+// simulator's sampling: E8's adequate-side measurement, K4 with f = 1
+// under a scripted clock liar, read at times 8, 32 and 64 of one run.
+func timedTrimmed() error {
+	params := flm.SyncParams{
+		P:      flm.RatIdentity(),
+		Q:      flm.NewRatClock(3, 2, 0, 1),
+		L:      ringEnvelope,
+		U:      flm.LinearClock{Rate: 1, Off: 4},
+		Alpha:  1,
+		TPrime: big.NewRat(4, 1),
+		Delta:  big.NewRat(1, 2),
+	}
+	k4 := flm.Complete(4)
+	clocks := []clockfn.RatLinear{
+		flm.RatIdentity(), flm.NewRatClock(3, 2, 0, 1), flm.NewRatClock(5, 4, 1, 4), flm.RatIdentity(),
+	}
+	builders := map[string]flm.SyncBuilder{}
+	for _, name := range k4.Names() {
+		builders[name] = clocksync.NewTrimmedMidpoint(params.L, 1)
+	}
+	samples, err := clocksync.MeasureAdequateSync(params, k4, clocks, builders, "p3",
+		clocksync.ClockLiarScript(k4, "p3", 64),
+		[]*big.Rat{big.NewRat(8, 1), big.NewRat(32, 1), big.NewRat(64, 1)})
+	if err != nil {
+		return err
+	}
+	if last := samples[len(samples)-1]; last.MeasuredGap >= last.TrivialGap {
+		return fmt.Errorf("trimmed sync bench: gap %.3f not below the trivial %.3f", last.MeasuredGap, last.TrivialGap)
+	}
+	return nil
+}
 
 // ringEnvelope is the lower envelope l(t) = t of clockRing's claim.
 var ringEnvelope = flm.LinearClock{Rate: 1}

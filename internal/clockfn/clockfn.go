@@ -14,8 +14,9 @@
 //
 // Q is the exact rational of the second layer: an immutable value that
 // holds int64 parts inline and falls back to math/big only for a value
-// that does not fit. RatScratch keeps big.Rat comparisons allocation
-// free for the devices whose state outgrows int64.
+// that does not fit. Reg is the mutable register of the averaging
+// devices, whose state outgrows int64: it holds a dyadic value as a
+// big.Int and a shift, so it adds, halves and compares without a gcd.
 package clockfn
 
 import (

@@ -8,7 +8,6 @@
 package clocksync
 
 import (
-	"math/big"
 	"sort"
 	"strconv"
 
@@ -18,11 +17,6 @@ import (
 
 // Builder constructs a fresh synchronization device for a named node.
 type Builder func(self string, neighbors []string) timedsim.Device
-
-// ratTwo is the shared division constant for the averaging devices. It is
-// never mutated: big.Rat.Quo only reads its operand's storage, so sharing
-// it across concurrently ticking devices is safe.
-var ratTwo = big.NewRat(2, 1)
 
 // sortedNeighbors copies and sorts a neighbor list, skipping the sort
 // when the caller already handed it over in order (the common case:
@@ -140,16 +134,14 @@ type trimmedDevice struct {
 	nbs      []string
 	l        clockfn.Fn
 	f        int
-	corr     *big.Rat
-	last     map[string]*big.Rat
-	tmp      big.Rat // per-message parse scratch
-	hw       big.Rat // hardware-reading register
-	own      big.Rat // corrected-reading scratch
-	adj      big.Rat // correction-step scratch
-	scr      clockfn.RatScratch
-	readings []*big.Rat      // reused per-tick sort buffer
+	corr     clockfn.Reg
+	last     map[string]*clockfn.Reg
+	hw       clockfn.Reg     // hardware-reading register
+	own      clockfn.Reg     // corrected-reading scratch
+	adj      clockfn.Reg     // correction-step scratch
+	readings []*clockfn.Reg  // reused per-tick sort buffer
 	out      []timedsim.Send // reused outbox (consumed before the next Tick)
-	enc      []byte          // reused Snapshot encoding buffer
+	enc      []byte          // reused payload and Snapshot encoding buffer
 }
 
 var _ timedsim.Device = (*trimmedDevice)(nil)
@@ -167,21 +159,13 @@ func NewTrimmedMidpoint(l clockfn.Fn, f int) Builder {
 func (d *trimmedDevice) Init(self string, neighbors []string) {
 	d.self = self
 	d.nbs = sortedNeighbors(neighbors)
-	d.corr = new(big.Rat)
-	d.last = make(map[string]*big.Rat, len(d.nbs))
+	d.corr = clockfn.Reg{}
+	d.last = make(map[string]*clockfn.Reg, len(d.nbs))
 }
 
 func (d *trimmedDevice) Tick(k int, hwq clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
-	hw := hwq.Rat(&d.hw)
-	for _, m := range inbox {
-		if reported, ok := d.tmp.SetString(m.Payload); ok {
-			if v, exists := d.last[m.From]; exists {
-				v.Set(reported)
-			} else {
-				d.last[m.From] = new(big.Rat).Set(reported)
-			}
-		}
-	}
+	hw := d.hw.SetQ(hwq)
+	readInbox(d.last, inbox)
 	readings := d.readings[:0]
 	for _, nb := range d.nbs {
 		if v, ok := d.last[nb]; ok {
@@ -193,36 +177,28 @@ func (d *trimmedDevice) Tick(k int, hwq clockfn.Q, inbox []timedsim.Message) []t
 		// Stable insertion sort: neighbor fan-in is small and equal
 		// readings yield the same median value either way.
 		for i := 1; i < len(readings); i++ {
-			for j := i; j > 0 && d.scr.Cmp(readings[j], readings[j-1]) < 0; j-- {
+			for j := i; j > 0 && readings[j].Cmp(readings[j-1]) < 0; j-- {
 				readings[j], readings[j-1] = readings[j-1], readings[j]
 			}
 		}
 		trimmed := readings[d.f : len(readings)-d.f]
 		median := trimmed[len(trimmed)/2]
-		own := d.own.Add(hw, d.corr)
+		own := d.own.Add(hw, &d.corr)
 		adj := d.adj.Sub(median, own)
-		adj.Quo(adj, ratTwo)
-		d.corr.Add(d.corr, adj)
+		d.corr.Add(&d.corr, adj.Half(adj))
 	}
-	d.own.Add(hw, d.corr)
-	payload := d.own.RatString()
-	out := d.out[:0]
-	for _, nb := range d.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: payload})
-	}
-	d.out = out
-	return out
+	d.enc = d.own.Add(hw, &d.corr).Append(d.enc[:0])
+	d.out = broadcast(d.out, d.nbs, string(d.enc))
+	return d.out
 }
 
 func (d *trimmedDevice) Logical(hw clockfn.Q) float64 {
-	d.own.Add(hw.Rat(&d.hw), d.corr)
-	f, _ := d.own.Float64()
-	return d.l.At(f)
+	return d.l.At(d.own.Add(d.hw.SetQ(hw), &d.corr).Float64())
 }
 
 func (d *trimmedDevice) Snapshot() string {
 	b := strconv.AppendInt(append(d.enc[:0], "trim(f="...), int64(d.f), 10)
-	d.enc = appendAveragingState(append(b, ",corr="...), d.corr, d.nbs, d.last)
+	d.enc = appendAveragingState(append(b, ",corr="...), &d.corr, d.nbs, d.last)
 	return string(d.enc)
 }
 
@@ -231,25 +207,24 @@ func (d *trimmedDevice) Snapshot() string {
 // neighbor readings.
 //
 // Both averaging devices, this one and trimmedDevice, keep their state in
-// big.Rat registers: a correction that moves halfway every tick doubles
-// its denominator every tick and outgrows int64 within a few dozen
-// ticks, so an immutable clockfn.Q would allocate a fresh big.Rat per
-// operation where a register reuses its storage. Each hardware reading
-// enters through clockfn.Q.Rat into a register of the device's own.
+// clockfn.Reg registers: a correction that moves halfway every tick
+// doubles its denominator every tick and outgrows int64 within a few
+// dozen ticks, so an immutable clockfn.Q would allocate per operation
+// where a register reuses its storage. With a dyadic tick spacing every
+// value is dyadic, and the registers add, halve and compare it without a
+// gcd.
 type midpointDevice struct {
 	self string
 	nbs  []string
 	l    clockfn.Fn
-	corr *big.Rat
-	last map[string]*big.Rat
-	tmp  big.Rat // per-message parse scratch
-	hw   big.Rat // hardware-reading register
-	own  big.Rat // corrected-reading scratch
-	mid  big.Rat // midpoint scratch
-	adj  big.Rat // correction-step scratch
-	scr  clockfn.RatScratch
+	corr clockfn.Reg
+	last map[string]*clockfn.Reg
+	hw   clockfn.Reg     // hardware-reading register
+	own  clockfn.Reg     // corrected-reading scratch
+	mid  clockfn.Reg     // midpoint scratch
+	adj  clockfn.Reg     // correction-step scratch
 	out  []timedsim.Send // reused outbox (consumed before the next Tick)
-	enc  []byte          // reused Snapshot encoding buffer
+	enc  []byte          // reused payload and Snapshot encoding buffer
 }
 
 var _ timedsim.Device = (*midpointDevice)(nil)
@@ -266,86 +241,79 @@ func NewMidpoint(l clockfn.Fn) Builder {
 func (d *midpointDevice) Init(self string, neighbors []string) {
 	d.self = self
 	d.nbs = sortedNeighbors(neighbors)
-	d.corr = new(big.Rat)
-	d.last = make(map[string]*big.Rat, len(d.nbs))
+	d.corr = clockfn.Reg{}
+	d.last = make(map[string]*clockfn.Reg, len(d.nbs))
 }
 
 func (d *midpointDevice) Tick(k int, hwq clockfn.Q, inbox []timedsim.Message) []timedsim.Send {
-	hw := hwq.Rat(&d.hw)
-	for _, m := range inbox {
-		if reported, ok := d.tmp.SetString(m.Payload); ok {
-			if v, exists := d.last[m.From]; exists {
-				v.Set(reported)
-			} else {
-				d.last[m.From] = new(big.Rat).Set(reported)
-			}
-		}
-	}
-	if len(d.last) > 0 {
-		own := d.own.Add(hw, d.corr)
-		lo, hi := (*big.Rat)(nil), (*big.Rat)(nil)
-		for _, nb := range d.nbs {
-			v, ok := d.last[nb]
-			if !ok {
-				continue
-			}
-			if lo == nil || d.scr.Cmp(v, lo) < 0 {
-				lo = v
-			}
-			if hi == nil || d.scr.Cmp(v, hi) > 0 {
-				hi = v
-			}
-		}
-		if lo != nil {
-			mid := d.mid.Add(lo, hi)
-			mid.Quo(mid, ratTwo)
-			adj := d.adj.Sub(mid, own)
-			adj.Quo(adj, ratTwo)
-			d.corr.Add(d.corr, adj)
-		}
-	}
-	d.own.Add(hw, d.corr)
-	payload := d.own.RatString()
-	out := d.out[:0]
+	hw := d.hw.SetQ(hwq)
+	readInbox(d.last, inbox)
+	var lo, hi *clockfn.Reg
 	for _, nb := range d.nbs {
-		out = append(out, timedsim.Send{To: nb, Payload: payload})
+		v, ok := d.last[nb]
+		if !ok {
+			continue
+		}
+		if lo == nil || v.Cmp(lo) < 0 {
+			lo = v
+		}
+		if hi == nil || v.Cmp(hi) > 0 {
+			hi = v
+		}
 	}
-	d.out = out
-	return out
+	if lo != nil {
+		own := d.own.Add(hw, &d.corr)
+		mid := d.mid.Add(lo, hi)
+		adj := d.adj.Sub(mid.Half(mid), own)
+		d.corr.Add(&d.corr, adj.Half(adj))
+	}
+	d.enc = d.own.Add(hw, &d.corr).Append(d.enc[:0])
+	d.out = broadcast(d.out, d.nbs, string(d.enc))
+	return d.out
 }
 
 func (d *midpointDevice) Logical(hw clockfn.Q) float64 {
-	d.own.Add(hw.Rat(&d.hw), d.corr)
-	f, _ := d.own.Float64()
-	return d.l.At(f)
+	return d.l.At(d.own.Add(d.hw.SetQ(hw), &d.corr).Float64())
 }
 
 func (d *midpointDevice) Snapshot() string {
-	d.enc = appendAveragingState(append(d.enc[:0], "mid(corr="...), d.corr, d.nbs, d.last)
+	d.enc = appendAveragingState(append(d.enc[:0], "mid(corr="...), &d.corr, d.nbs, d.last)
 	return string(d.enc)
+}
+
+// readInbox keeps each sender's latest reading in last. A payload that
+// is not a plain decimal, as clockfn.Reg.SetString reads it, is ignored.
+func readInbox(last map[string]*clockfn.Reg, inbox []timedsim.Message) {
+	for _, m := range inbox {
+		if v, ok := last[m.From]; ok {
+			v.SetString(m.Payload)
+		} else if v := new(clockfn.Reg); v.SetString(m.Payload) {
+			last[m.From] = v
+		}
+	}
+}
+
+// broadcast fills out with payload addressed to every neighbor.
+func broadcast(out []timedsim.Send, nbs []string, payload string) []timedsim.Send {
+	out = out[:0]
+	for _, nb := range nbs {
+		out = append(out, timedsim.Send{To: nb, Payload: payload})
+	}
+	return out
 }
 
 // appendAveragingState appends the rest of an averaging device's
 // snapshot: its correction, ")", then "|name=reading" for each neighbor
 // that has reported. Readings arrive only from neighbors, so walking the
 // sorted neighbor list visits exactly the keys of last in sorted order.
-// Each value is written as its RatString, without building the string.
-func appendAveragingState(b []byte, corr *big.Rat, nbs []string, last map[string]*big.Rat) []byte {
-	b = append(appendRat(b, corr), ')')
+// A reading parsed from its canonical text appends that text.
+func appendAveragingState(b []byte, corr *clockfn.Reg, nbs []string, last map[string]*clockfn.Reg) []byte {
+	b = append(corr.Append(b), ')')
 	for _, nb := range nbs {
 		if v, ok := last[nb]; ok {
 			b = append(append(append(b, '|'), nb...), '=')
-			b = appendRat(b, v)
+			b = v.Append(b)
 		}
 	}
 	return b
-}
-
-// appendRat appends x.RatString().
-func appendRat(b []byte, x *big.Rat) []byte {
-	b = x.Num().Append(b, 10)
-	if x.IsInt() {
-		return b
-	}
-	return x.Denom().Append(append(b, '/'), 10)
 }

@@ -25,42 +25,50 @@ type AdequateSyncSample struct {
 
 // MeasureAdequateSync runs the builders on g (one clock per node, one
 // optional scripted liar) and samples the maximum logical gap among
-// correct nodes at each of the given real times.
+// correct nodes at each of the given real times, which must ascend. One
+// timed run, to the last sample, serves every sample (timedsim's
+// System.Samples).
 func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLinear, builders map[string]Builder, liar string, liarScript []timedsim.ScriptedSend, samples []*big.Rat) ([]AdequateSyncSample, error) {
 	if len(clocks) != g.N() {
 		return nil, fmt.Errorf("clocksync: %d clocks for %d nodes", len(clocks), g.N())
 	}
+	if len(samples) == 0 {
+		return nil, nil
+	}
+	at := make([]clockfn.Q, len(samples))
+	for i, s := range samples {
+		at[i] = clockfn.FromRat(s)
+	}
+	nodes := make([]timedsim.Node, g.N())
+	for u := 0; u < g.N(); u++ {
+		name := g.Name(u)
+		if name == liar {
+			nodes[u] = timedsim.Node{Script: liarScript, Clock: clocks[u]}
+			continue
+		}
+		b, ok := builders[name]
+		if !ok {
+			return nil, fmt.Errorf("clocksync: no builder for node %q", name)
+		}
+		var nbs []string
+		for _, v := range g.Neighbors(u) {
+			nbs = append(nbs, g.Name(v))
+		}
+		nodes[u] = timedsim.Node{Device: b(name, nbs), Clock: clocks[u]}
+	}
+	sys := &timedsim.System{G: g, Nodes: nodes, Delta: params.Delta, Samples: at}
+	run, err := timedsim.Execute(sys, at[len(at)-1])
+	if err != nil {
+		return nil, err
+	}
 	out := make([]AdequateSyncSample, 0, len(samples))
-	for _, until := range samples {
-		nodes := make([]timedsim.Node, g.N())
-		for u := 0; u < g.N(); u++ {
-			name := g.Name(u)
-			if name == liar {
-				nodes[u] = timedsim.Node{Script: liarScript, Clock: clocks[u]}
-				continue
-			}
-			b, ok := builders[name]
-			if !ok {
-				return nil, fmt.Errorf("clocksync: no builder for node %q", name)
-			}
-			var nbs []string
-			for _, v := range g.Neighbors(u) {
-				nbs = append(nbs, g.Name(v))
-			}
-			dev := b(name, nbs)
-			nodes[u] = timedsim.Node{Device: dev, Clock: clocks[u]}
-		}
-		run, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: params.Delta}, clockfn.FromRat(until))
-		if err != nil {
-			return nil, err
-		}
+	for i, clocks := range run.Sampled {
 		lo, hi := 0.0, 0.0
 		first := true
-		for u := 0; u < g.N(); u++ {
+		for u, c := range clocks {
 			if g.Name(u) == liar {
 				continue
 			}
-			c := run.FinalLogical[u]
 			if first {
 				lo, hi, first = c, c, false
 				continue
@@ -72,7 +80,7 @@ func MeasureAdequateSync(params Params, g *graph.Graph, clocks []clockfn.RatLine
 				hi = c
 			}
 		}
-		tF, _ := until.Float64()
+		tF := at[i].Float64()
 		out = append(out, AdequateSyncSample{
 			T:           tF,
 			MeasuredGap: hi - lo,

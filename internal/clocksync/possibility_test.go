@@ -1,11 +1,13 @@
 package clocksync
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
 	"flm/internal/clockfn"
 	"flm/internal/graph"
+	"flm/internal/timedsim"
 )
 
 func TestTrimmedMidpointBeatsTrivialOnAdequateGraph(t *testing.T) {
@@ -77,5 +79,67 @@ func TestMeasureAdequateSyncValidation(t *testing.T) {
 	if _, err := MeasureAdequateSync(params, g, clocks, map[string]Builder{}, "", nil,
 		[]*big.Rat{big.NewRat(1, 1)}); err == nil {
 		t.Error("missing builder accepted")
+	}
+	builders := map[string]Builder{}
+	for _, name := range g.Names() {
+		builders[name] = NewMidpoint(params.L)
+	}
+	if _, err := MeasureAdequateSync(params, g, clocks, builders, "", nil,
+		[]*big.Rat{big.NewRat(2, 1), big.NewRat(1, 1)}); err == nil {
+		t.Error("descending samples accepted")
+	}
+}
+
+// TestSampledMatchesSeparateRuns: each row of Run.Sampled is, bit for
+// bit, the FinalLogical of a separate run to that sample time. The
+// averaging devices run under a clock liar on K4 and K3, and the samples
+// fall on tick and send times, between events, and twice on one time.
+func TestSampledMatchesSeparateRuns(t *testing.T) {
+	params := stdParams(1)
+	clockZoo := []clockfn.RatLinear{
+		clockfn.RatIdentity(),
+		clockfn.NewRatLinear(3, 2, 0, 1),
+		clockfn.NewRatLinear(5, 4, 1, 4),
+	}
+	samples := []clockfn.Q{
+		clockfn.NewQ(0, 1), clockfn.NewQ(33, 7), clockfn.NewQ(8, 1), clockfn.NewQ(33, 4),
+		clockfn.NewQ(32, 1), clockfn.NewQ(32, 1), clockfn.NewQ(64, 1),
+	}
+	for _, tc := range []struct {
+		n int
+		b Builder
+	}{{4, NewTrimmedMidpoint(params.L, 1)}, {3, NewMidpoint(params.L)}} {
+		g := graph.Complete(tc.n)
+		liar := g.Name(tc.n - 1)
+		system := func(samples []clockfn.Q) *timedsim.System {
+			nodes := make([]timedsim.Node, tc.n)
+			for u := range nodes {
+				nodes[u].Clock = clockZoo[u%len(clockZoo)]
+				if g.Name(u) == liar {
+					nodes[u].Script = ClockLiarScript(g, liar, 64)
+				} else {
+					nodes[u].Device = tc.b(g.Name(u), nil)
+				}
+			}
+			return &timedsim.System{G: g, Nodes: nodes, Delta: params.Delta, Samples: samples}
+		}
+		run, err := timedsim.Execute(system(samples), samples[len(samples)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(run.Sampled) != len(samples) {
+			t.Fatalf("K%d: %d sampled rows for %d samples", tc.n, len(run.Sampled), len(samples))
+		}
+		for i, at := range samples {
+			ref, err := timedsim.Execute(system(nil), at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u, want := range ref.FinalLogical {
+				if got := run.Sampled[i][u]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("K%d sample %s node %s: sampled %v, a run to it ends at %v", tc.n, at, g.Name(u), got, want)
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,35 +251,71 @@ func TestConcurrentEvictionSingleFlight(t *testing.T) {
 	}
 }
 
+// parseBudgetCases are TestParseBudget's table and FuzzParseBudget's
+// seeds.
+var parseBudgetCases = []struct {
+	in    string
+	bytes int64
+	ok    bool
+}{
+	{"", DefaultBudget, true},
+	{"unbounded", -1, true},
+	{"UNLIMITED", -1, true},
+	{"-3", -1, true},
+	{"0", 0, true},
+	{"123", 123, true},
+	{"64k", 64 << 10, true},
+	{"64K", 64 << 10, true},
+	{"64KiB", 64 << 10, true},
+	{"10mb", 10 << 20, true},
+	{"2G", 2 << 30, true},
+	{" 5 MiB ", 5 << 20, true},
+	{"nonsense", 0, false},
+	{"12q", 0, false},
+	{"8589934591G", 8589934591 << 30, true}, // the largest count of G that fits
+	{"8589934592G", 0, false},               // 2^63 wraps to MinInt64
+	{"17179869184G", 0, false},              // 2^64 wraps to 0
+	{"99999999999999999999", 0, false},
+}
+
 func TestParseBudget(t *testing.T) {
-	cases := []struct {
-		in    string
-		bytes int64
-		ok    bool
-	}{
-		{"", DefaultBudget, true},
-		{"unbounded", -1, true},
-		{"UNLIMITED", -1, true},
-		{"-3", -1, true},
-		{"0", 0, true},
-		{"123", 123, true},
-		{"64k", 64 << 10, true},
-		{"64K", 64 << 10, true},
-		{"64KiB", 64 << 10, true},
-		{"10mb", 10 << 20, true},
-		{"2G", 2 << 30, true},
-		{" 5 MiB ", 5 << 20, true},
-		{"nonsense", 0, false},
-		{"12q", 0, false},
-		{"8589934591G", 8589934591 << 30, true}, // the largest count of G that fits
-		{"8589934592G", 0, false},               // 2^63 wraps to MinInt64
-		{"17179869184G", 0, false},              // 2^64 wraps to 0
-		{"99999999999999999999", 0, false},
-	}
-	for _, tc := range cases {
+	for _, tc := range parseBudgetCases {
 		got, ok := ParseBudget(tc.in)
 		if got != tc.bytes || ok != tc.ok {
 			t.Errorf("ParseBudget(%q) = (%d, %v), want (%d, %v)", tc.in, got, ok, tc.bytes, tc.ok)
 		}
 	}
+}
+
+// FuzzParseBudget: ParseBudget never panics and accepts only -1 (no
+// bound) or a byte count in [0, MaxInt64]; and a count n >= 0 written
+// with each unit suffix reads as n times the unit when that fits, and is
+// rejected when it does not. The seeds run in plain go test.
+func FuzzParseBudget(f *testing.F) {
+	for i, tc := range parseBudgetCases {
+		f.Add(tc.in, []int64{0, 123, 8589934591, 8589934592, math.MaxInt64}[i%5])
+	}
+	units := []struct {
+		suffix string
+		mult   int64
+	}{
+		{"", 1}, {"k", 1 << 10}, {"KB", 1 << 10}, {"KiB", 1 << 10},
+		{"m", 1 << 20}, {"MB", 1 << 20}, {"mib", 1 << 20},
+		{"G", 1 << 30}, {"gb", 1 << 30}, {"GiB", 1 << 30},
+	}
+	f.Fuzz(func(t *testing.T, s string, n int64) {
+		if got, ok := ParseBudget(s); ok && got < -1 {
+			t.Fatalf("ParseBudget(%q) = %d, accepted", s, got)
+		}
+		if n < 0 {
+			return
+		}
+		for _, u := range units {
+			in := fmt.Sprint(n) + u.suffix
+			got, ok := ParseBudget(in)
+			if fits := n <= math.MaxInt64/u.mult; ok != fits || (fits && got != n*u.mult) {
+				t.Fatalf("ParseBudget(%q) = (%d, %v), want %d times %d (fits: %v)", in, got, ok, n, u.mult, fits)
+			}
+		}
+	})
 }

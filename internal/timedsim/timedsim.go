@@ -15,12 +15,14 @@
 package timedsim
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
 
 	"flm/internal/clockfn"
 	"flm/internal/graph"
+	"flm/internal/obs"
 )
 
 // Message is a delivered payload with its exact send time.
@@ -80,12 +82,16 @@ type Node struct {
 // the hardware clocks — which is exactly the weakening FLM85 names as
 // making clock synchronization potentially possible on inadequate
 // graphs; TestScalingAxiomBrokenByRealDelay demonstrates the failure.
-// Execute only reads Delta and RealDelay.
+// Samples are real times, ascending and none past the run's end, at
+// which the run also reads every logical clock (Run.Sampled), so one run
+// serves a series of measurements. Execute only reads Delta, RealDelay
+// and Samples.
 type System struct {
 	G         *graph.Graph
 	Nodes     []Node
 	Delta     *big.Rat
 	RealDelay *big.Rat
+	Samples   []clockfn.Q
 }
 
 // TickRecord is one observed tick of one node.
@@ -111,6 +117,10 @@ type Run struct {
 	Sends        map[graph.Edge][]SendRecord
 	FinalLogical []float64   // logical clocks evaluated at time Until
 	FinalHW      []clockfn.Q // hardware readings at time Until
+	// Sampled[i] holds the logical clocks at time System.Samples[i],
+	// evaluated after every event at or before it and before any later
+	// one: the FinalLogical of a run to that time.
+	Sampled [][]float64
 }
 
 // tickSched is one device node's tick schedule: its next tick k happens
@@ -129,13 +139,49 @@ const maxPresize = 1 << 16
 
 // Execute runs the system from real time 0 through real time until
 // (inclusive) and records the behavior.
+//
+// When a tracer is installed (internal/obs), each execution is wrapped
+// in a "timedsim.execute" span recording the node count and the run's
+// tick and send totals. Without one, none of that work is done.
 func Execute(sys *System, until clockfn.Q) (*Run, error) {
+	var sp *obs.Span
+	if obs.Enabled() {
+		_, sp = obs.StartSpan(context.Background(), "timedsim.execute", obs.Int("nodes", sys.G.N()))
+	}
+	run, err := execute(sys, until)
+	if sp != nil {
+		ticks, sends := 0, 0
+		if run != nil {
+			for _, recs := range run.Ticks {
+				ticks += len(recs)
+			}
+			for _, recs := range run.Sends {
+				sends += len(recs)
+			}
+		}
+		sp.SetAttrs(obs.Int("ticks", ticks), obs.Int("sends", sends))
+		if err != nil {
+			sp.SetAttrs(obs.Str("error", err.Error()))
+		}
+		sp.End()
+	}
+	return run, err
+}
+
+// execute is the timed executor behind Execute.
+func execute(sys *System, until clockfn.Q) (*Run, error) {
 	g := sys.G
 	if len(sys.Nodes) != g.N() {
 		return nil, fmt.Errorf("timedsim: %d nodes configured for %d-node graph", len(sys.Nodes), g.N())
 	}
 	if sys.Delta == nil || sys.Delta.Sign() <= 0 {
 		return nil, fmt.Errorf("timedsim: tick spacing must be positive")
+	}
+	samples := sys.Samples
+	for i, at := range samples {
+		if at.Cmp(until) > 0 || (i > 0 && at.Cmp(samples[i-1]) < 0) {
+			return nil, fmt.Errorf("timedsim: samples must ascend to at most the run's end %s", until)
+		}
 	}
 	run := &Run{
 		G:            g,
@@ -144,6 +190,17 @@ func Execute(sys *System, until clockfn.Q) (*Run, error) {
 		Sends:        make(map[graph.Edge][]SendRecord),
 		FinalLogical: make([]float64, g.N()),
 		FinalHW:      make([]clockfn.Q, g.N()),
+	}
+	// sample reads every logical clock at the next sample time.
+	sample := func() {
+		at := samples[len(run.Sampled)]
+		clocks := make([]float64, g.N())
+		for u, node := range sys.Nodes {
+			if node.Device != nil {
+				clocks[u] = node.Device.Logical(node.Clock.At(at))
+			}
+		}
+		run.Sampled = append(run.Sampled, clocks)
 	}
 	delta := clockfn.FromRat(sys.Delta)
 	var realDelay clockfn.Q
@@ -211,6 +268,9 @@ func Execute(sys *System, until clockfn.Q) (*Run, error) {
 		if bestNode < 0 {
 			break
 		}
+		for len(run.Sampled) < len(samples) && samples[len(run.Sampled)].Cmp(best) < 0 {
+			sample()
+		}
 		u := bestNode
 		node := sys.Nodes[u]
 		if node.Device != nil {
@@ -276,6 +336,9 @@ func Execute(sys *System, until clockfn.Q) (*Run, error) {
 		}
 	}
 
+	for len(run.Sampled) < len(samples) {
+		sample()
+	}
 	for u := 0; u < g.N(); u++ {
 		node := sys.Nodes[u]
 		run.FinalHW[u] = node.Clock.At(until)

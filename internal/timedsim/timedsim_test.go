@@ -320,6 +320,13 @@ func TestExecuteValidation(t *testing.T) {
 	}, Delta: big.NewRat(1, 1)}, rat(2, 1)); err == nil {
 		t.Error("script to non-neighbor accepted")
 	}
+	for _, samples := range [][]clockfn.Q{{rat(2, 1), rat(1, 1)}, {rat(1, 1), rat(4, 1)}} {
+		sys := lineSystem(clockfn.RatIdentity(), clockfn.RatIdentity())
+		sys.Samples = samples
+		if _, err := Execute(sys, rat(3, 1)); err == nil {
+			t.Errorf("samples %v accepted for a run to 3", samples)
+		}
+	}
 }
 
 func TestRunAccessors(t *testing.T) {
