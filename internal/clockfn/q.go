@@ -14,8 +14,8 @@ import (
 // held as a *big.Rat that is never mutated once built, so copies of a Q
 // may share it, across goroutines too. The representation is canonical
 // (inline exactly when the value fits), and every result equals
-// big.Rat's: String is RatString, ParseQ is SetString, Float64 is
-// big.Rat.Float64.
+// big.Rat's: String is RatString, ParseQ is SetString on the plain
+// decimal form, Float64 is big.Rat.Float64.
 //
 // The zero value is 0.
 type Q struct {
@@ -208,18 +208,20 @@ func (q Q) String() string {
 	return string(b)
 }
 
-// ParseQ reads s as big.Rat.SetString does and reports whether it
-// succeeded. The forms String writes — an optionally negative decimal
-// integer or fraction, with no leading zeros and at most 18 digits a
-// part — are read without math/big; anything else goes to SetString.
+// ParseQ reads s in the plain decimal form that String writes and
+// Reg.SetString reads, "[-]n" or "[-]n/d" with digits only, no leading
+// zero and d > 0, and reports whether s is in that form. The value need
+// not be reduced. Anything else, exponents and other bases included,
+// is rejected, so a value's size is bounded by its text. Parts of at
+// most 18 digits are read without math/big.
 func ParseQ(s string) (Q, bool) {
 	if q, ok := parseInline(s); ok {
 		return q, true
 	}
-	r, ok := new(big.Rat).SetString(s)
-	if !ok {
+	if _, _, _, ok := splitPlain(s); !ok {
 		return Q{}, false
 	}
+	r, _ := new(big.Rat).SetString(s)
 	return fromBig(r), true
 }
 

@@ -217,12 +217,9 @@ func evaluateScaledScenarios(params Params, iters []clockfn.RatLinear, run *time
 
 // Theorem8Nodes mechanizes the general node bound of Theorem 8.
 func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int, builders map[string]Builder) (*Result, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("clocksync: graph has %d > 3f = %d nodes", g.N(), 3*f)
-	}
-	if len(aSet) > f || len(bSet) > f || len(cSet) > f ||
-		len(aSet) == 0 || len(bSet) == 0 || len(cSet) == 0 {
-		return nil, fmt.Errorf("clocksync: partition blocks must be non-empty with at most f=%d nodes", f)
+	block, err := graph.Partition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
 	}
 	k, err := params.ChooseK()
 	if err != nil {
@@ -230,23 +227,6 @@ func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int,
 	}
 	positionsTotal := k + 2 // ring positions, divisible by 3
 	copies := positionsTotal / 3
-	block := make([]int, g.N())
-	for i := range block {
-		block[i] = -1
-	}
-	for id, set := range [][]int{aSet, bSet, cSet} {
-		for _, x := range set {
-			if x < 0 || x >= g.N() || block[x] != -1 {
-				return nil, fmt.Errorf("clocksync: invalid partition at node %d", x)
-			}
-			block[x] = id
-		}
-	}
-	for x, id := range block {
-		if id == -1 {
-			return nil, fmt.Errorf("clocksync: node %s not covered by the partition", g.Name(x))
-		}
-	}
 	// Crossing c -> a makes the ring positions consecutive:
 	// ...a_i b_i c_i a_(i+1)..., so adjacent positions are adjacent
 	// block images.

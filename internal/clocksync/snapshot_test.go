@@ -152,6 +152,29 @@ func TestAveragingDevicesIgnoreNonPlainReadings(t *testing.T) {
 	}
 }
 
+// TestChaseDeviceIgnoresNonPlainReadings: the chase device, too, reads
+// a neighbor's reading only in the plain decimal form, so a 9-byte
+// "1e999999" cannot become a million-digit lead that every later
+// payload and snapshot carries. A plain reading of 1,000 digits is
+// still read.
+func TestChaseDeviceIgnoresNonPlainReadings(t *testing.T) {
+	long := "9" + strings.Repeat("0", 999)
+	for _, reading := range []string{"1e999999", "-1e999999", "0x10", "0.5", "+5", "007", "1_0", long} {
+		d := NewChaseMax(clockfn.Identity())("self", []string{"a", "b"})
+		sends := d.Tick(0, clockfn.NewQ(1, 2), []timedsim.Message{{From: "a", Payload: reading}, {From: "b", Payload: "3/2"}})
+		want := "chase(ahead=1)" // b's lead over the hardware reading 1/2
+		if reading == long {
+			want = "chase(ahead=17" + strings.Repeat("9", 999) + "/2)" // 9·10^999 - 1/2
+		}
+		if got := d.Snapshot(); got != want {
+			t.Errorf("reading %q: snapshot %.80q, want %.80q", reading, got, want)
+		}
+		if reading != long && (len(sends) != 2 || sends[0].Payload != "3/2") {
+			t.Errorf("reading %q: sends %.80q, want the lead-corrected reading 3/2", reading, sends)
+		}
+	}
+}
+
 // TestTheorem8MatchesOracle runs Theorem 8's midpoint and trimmed rings
 // with the devices and with their big.Rat oracles and requires the same
 // recorded behavior: every send, every tick record (snapshot and logical

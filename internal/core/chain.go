@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"strings"
 
+	"flm/internal/approx"
+	"flm/internal/firingsquad"
 	"flm/internal/graph"
 	"flm/internal/obs"
 	"flm/internal/sim"
+	"flm/internal/weak"
 )
 
 // Violation records one broken correctness condition in one constructed
@@ -78,8 +81,7 @@ func intersect(a, b []string) []string {
 // ChainResult is the outcome of running an impossibility argument against
 // concrete devices: the covering run, the chain of spliced behaviors, and
 // the violations found. The theorem guarantees Violations is non-empty;
-// an empty list is reported as an engine error by the per-theorem
-// drivers.
+// an empty list is reported as an engine error by the chain runner.
 type ChainResult struct {
 	Theorem    string // "Theorem 1 (nodes)", ...
 	Problem    string // "Byzantine agreement", ...
@@ -115,49 +117,163 @@ func (cr *ChainResult) String() string {
 	return b.String()
 }
 
-// addBAViolations evaluates Byzantine-agreement style conditions on a
-// spliced run and appends any violations. want is the decision forced by
-// validity ("" when only agreement/termination apply).
-func (cr *ChainResult) addBAViolations(linkName string, sp *Splice, want string) {
-	decided := map[string]string{}
-	for _, name := range sp.Correct {
-		d, err := sp.Run.DecisionOf(name)
-		if err != nil || d.Value == "" {
-			cr.Violations = append(cr.Violations, Violation{
-				Link: linkName, Condition: "termination",
-				Detail: fmt.Sprintf("correct node %s never decided", name),
-			})
-			continue
-		}
-		decided[name] = d.Value
+// plan is one impossibility argument as data: the covering system to
+// run and the scenarios to splice out of its run, in link order. Each
+// exported driver builds a plan; run executes it.
+type plan struct {
+	cover     *graph.Cover
+	inputs    map[string]sim.Input      // by S-node name
+	rounds    int                       // of the covering run and every splice
+	selfCheck func(runS *sim.Run) error // optional, on the covering run
+	scenarios []scenario
+}
+
+// scenario is one link of a chain: the S-subset spliced into a behavior
+// of G, what the paper's argument expects of it, and the problem's
+// check of that behavior.
+type scenario struct {
+	link   string
+	u      []int
+	expect string
+	check  check
+}
+
+// check evaluates a problem's conditions on the correct nodes of one
+// behavior of G and returns the broken ones in the problem's order,
+// with Link left for the runner to fill in.
+type check func(run *sim.Run, correct []string) []Violation
+
+// run is the one move every proof makes. It installs the devices on
+// the plan's cover, executes S and runs the plan's self-check; then it
+// splices each scenario into a behavior of G by the Locality and Fault
+// axioms, appends it as a link, and appends the link's violations. A
+// link with more than f faulty nodes lies outside the fault model, and
+// a chain with no violation contradicts the theorem: both are engine
+// errors.
+func (cr *ChainResult) run(p plan, builders map[string]sim.Builder) (*ChainResult, error) {
+	inst, err := InstallCover(p.cover, builders, p.inputs)
+	if err != nil {
+		return nil, err
 	}
-	first := ""
-	for _, name := range sp.Correct {
-		v, ok := decided[name]
-		if !ok {
-			continue
-		}
-		if first == "" {
-			first = v
-		} else if v != first {
-			cr.Violations = append(cr.Violations, Violation{
-				Link: linkName, Condition: "agreement",
-				Detail: fmt.Sprintf("correct nodes decided both %s and %s", first, v),
-			})
-			break
+	runS, err := inst.Execute(p.rounds)
+	if err != nil {
+		return nil, err
+	}
+	cr.CoverSize, cr.RunS = p.cover.S.N(), runS
+	if p.selfCheck != nil {
+		if err := p.selfCheck(runS); err != nil {
+			return nil, err
 		}
 	}
-	if want == "" {
-		return
-	}
-	for _, name := range sp.Correct {
-		if v, ok := decided[name]; ok && v != want {
-			cr.Violations = append(cr.Violations, Violation{
-				Link: linkName, Condition: "validity",
-				Detail: fmt.Sprintf("unanimous correct input %s but %s decided %s", want, name, v),
-			})
-			break
+	for _, sc := range p.scenarios {
+		sp, err := SpliceScenario(inst, runS, sc.u, builders)
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", sc.link, err)
 		}
+		if len(sp.Faulty) > cr.F {
+			return nil, fmt.Errorf("core: %s has %d faulty nodes, more than f=%d", sc.link, len(sp.Faulty), cr.F)
+		}
+		cr.addLink(Link{Name: sc.link, Splice: sp, Expect: sc.expect, Correct: sp.Correct, Faulty: sp.Faulty})
+		cr.addViolations(sc.link, sc.check(sp.Run, sp.Correct))
+	}
+	if !cr.Contradicted() {
+		return cr, fmt.Errorf("core: no condition violated in %d links — impossible (engine or device-determinism bug):\n%s", len(cr.Links), cr)
+	}
+	return cr, nil
+}
+
+// addViolations appends a link's broken conditions to the chain.
+func (cr *ChainResult) addViolations(link string, vs []Violation) {
+	for _, v := range vs {
+		v.Link = link
+		cr.Violations = append(cr.Violations, v)
+	}
+}
+
+// broken lists, in order, the conditions whose error is non-nil; names
+// holds the conditions' names, one per error, separated by spaces.
+func broken(names string, errs ...error) []Violation {
+	var vs []Violation
+	for _, err := range errs {
+		var name string
+		name, names, _ = strings.Cut(names, " ")
+		if err != nil {
+			vs = append(vs, Violation{Condition: name, Detail: err.Error()})
+		}
+	}
+	return vs
+}
+
+// baCheck is Byzantine agreement: every correct node decides
+// (termination), all on one value (agreement), and on want where
+// validity forces a value ("" where it forces none).
+func baCheck(want string) check {
+	return func(run *sim.Run, correct []string) []Violation {
+		var vs []Violation
+		decided := map[string]string{}
+		for _, name := range correct {
+			d, err := run.DecisionOf(name)
+			if err != nil || d.Value == "" {
+				vs = append(vs, Violation{Condition: "termination",
+					Detail: fmt.Sprintf("correct node %s never decided", name)})
+				continue
+			}
+			decided[name] = d.Value
+		}
+		first := ""
+		for _, name := range correct {
+			v, ok := decided[name]
+			if ok && first == "" {
+				first = v
+			} else if ok && v != first {
+				vs = append(vs, Violation{Condition: "agreement",
+					Detail: fmt.Sprintf("correct nodes decided both %s and %s", first, v)})
+				break
+			}
+		}
+		if want == "" {
+			return vs
+		}
+		for _, name := range correct {
+			if v, ok := decided[name]; ok && v != want {
+				vs = append(vs, Violation{Condition: "validity",
+					Detail: fmt.Sprintf("unanimous correct input %s but %s decided %s", want, name, v)})
+				break
+			}
+		}
+		return vs
+	}
+}
+
+// weakCheck is weak agreement; validity binds only when every node of
+// the behavior is correct.
+func weakCheck(allCorrect bool) check {
+	return func(run *sim.Run, correct []string) []Violation {
+		rep := weak.Check(run, correct, allCorrect)
+		return broken("choice agreement validity", rep.Choice, rep.Agreement, rep.Validity)
+	}
+}
+
+// firingSquadCheck is the Byzantine firing squad; validity binds only
+// when every node of the behavior is correct.
+func firingSquadCheck(allCorrect, stimulated bool) check {
+	return func(run *sim.Run, correct []string) []Violation {
+		rep := firingsquad.Check(run, correct, allCorrect, stimulated)
+		return broken("agreement validity", rep.Agreement, rep.Validity)
+	}
+}
+
+// simpleApproxCheck is simple approximate agreement.
+func simpleApproxCheck(run *sim.Run, correct []string) []Violation {
+	rep := approx.CheckSimple(run, correct)
+	return broken("termination agreement validity", rep.Termination, rep.Agreement, rep.Validity)
+}
+
+// edgCheck is (ε,δ,γ)-agreement.
+func edgCheck(p EDGParams) check {
+	return func(run *sim.Run, correct []string) []Violation {
+		rep := approx.CheckEDG(run, correct, p.Eps, p.Gamma)
+		return broken("termination agreement validity", rep.Termination, rep.Agreement, rep.Validity)
 	}
 }
 
@@ -175,11 +291,45 @@ func copyInputs(s *graph.Graph, zero, one sim.Input) map[string]sim.Input {
 	return inputs
 }
 
-// namesOf maps node indices to names.
-func namesOf(g *graph.Graph, idx []int) []string {
-	names := make([]string, len(idx))
-	for i, u := range idx {
-		names[i] = g.Name(u)
+// inCopy returns the S-nodes of the given nodes of an n-node G in copy
+// i of a cyclic cover (graph.CyclicCover numbers copy i's nodes from
+// i*n).
+func inCopy(nodes []int, i, n int) []int {
+	out := make([]int, len(nodes))
+	for j, x := range nodes {
+		out[j] = i*n + x
 	}
-	return names
+	return out
+}
+
+// concat joins node lists into a fresh one.
+func concat(parts ...[]int) []int {
+	var out []int
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// blockCover is the m-copy cyclic cover of g whose edges from block
+// from to block to (see graph.Partition) cross into the next copy.
+func blockCover(g *graph.Graph, block []int, from, to, m int) *graph.Cover {
+	return graph.CyclicCover(g, func(u, v int) bool { return block[u] == from && block[v] == to }, m)
+}
+
+// cutSets returns the a-set (the component of uNode once the cut b∪d
+// is removed) and the c-set (every other node outside the cut).
+func cutSets(g *graph.Graph, bSet, dSet []int, uNode int) (aSet, cSet []int) {
+	removed := concat(bSet, dSet)
+	aSet = g.ComponentWithout(removed, uNode)
+	inAorCut := make(map[int]bool, g.N())
+	for _, x := range concat(aSet, removed) {
+		inAorCut[x] = true
+	}
+	for x := 0; x < g.N(); x++ {
+		if !inAorCut[x] {
+			cSet = append(cSet, x)
+		}
+	}
+	return aSet, cSet
 }

@@ -6,8 +6,12 @@
 //  2. runs S and splices scenarios of the covering run into correct
 //     behaviors of G using the Locality and Fault axioms (splice.go),
 //  3. evaluates the problem's correctness conditions on each behavior in
-//     the chain and reports the condition that breaks (chain.go and the
-//     per-theorem files).
+//     the chain and reports the condition that breaks (chain.go).
+//
+// One runner (chain.go) makes these moves for every theorem; the
+// exported drivers of Theorems 1, 2, 4, 5 and 6 (theorem*.go) only
+// describe their argument as a plan: the cover, the inputs, and the
+// scenarios with their problem checks.
 //
 // At least one condition must break — that is the theorem — and the
 // engine fails loudly if its axiom self-checks or the chain logic ever

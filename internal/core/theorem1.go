@@ -7,6 +7,83 @@ import (
 	"flm/internal/sim"
 )
 
+// Theorems 1 and 5 splice the same three scenarios out of the same
+// two-copy covers; only the inputs, the checks and the expectations
+// differ.
+
+// twoCopy is a two-copy cover of G with its scenarios E1, E2, E3.
+type twoCopy struct {
+	cover *graph.Cover
+	u     [3][]int
+}
+
+// plan gives copy 0 input zero and copy 1 input one, and splices E1,
+// E2, E3 in order.
+func (tc twoCopy) plan(zero, one sim.Input, rounds int, checks [3]check, expect [3]string) plan {
+	p := plan{cover: tc.cover, inputs: copyInputs(tc.cover.S, zero, one), rounds: rounds}
+	for i, u := range tc.u {
+		p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("E%d", i+1), u, expect[i], checks[i]})
+	}
+	return p
+}
+
+// partitionCover checks the partition a, b, c of g (graph.Partition)
+// and builds its two-copy cover with the a-c edges crossed, the hexagon
+// of blocks of Section 3.1:
+//
+//	E1 = b∪c of copy 0            (a faulty)
+//	E2 = c of copy 0, a of copy 1 (b faulty)
+//	E3 = a∪b of copy 1            (c faulty)
+func partitionCover(g *graph.Graph, f int, a, b, c []int) (twoCopy, error) {
+	block, err := graph.Partition(g, f, a, b, c)
+	if err != nil {
+		return twoCopy{}, err
+	}
+	n := g.N()
+	return twoCopy{blockCover(g, block, 0, 2, 2), [3][]int{
+		concat(b, c),
+		concat(c, inCopy(a, 1, n)),
+		concat(inCopy(a, 1, n), inCopy(b, 1, n)),
+	}}, nil
+}
+
+// cutCover checks the cut halves bSet and dSet, each of at most f
+// nodes, that separate uNode from vNode, and builds the two-copy cover
+// with the a-d edges crossed (Section 3.2), a being uNode's side of the
+// cut and c the rest:
+//
+//	E1 = a∪b∪c of copy 0            (d faulty)
+//	E2 = c∪d of copy 0, a of copy 1 (b faulty)
+//	E3 = a∪b∪c of copy 1            (d faulty)
+func cutCover(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int) (twoCopy, error) {
+	if err := checkCutHalves(f, bSet, dSet); err != nil {
+		return twoCopy{}, err
+	}
+	cover, err := graph.CutCover(g, bSet, dSet, uNode, vNode)
+	if err != nil {
+		return twoCopy{}, err
+	}
+	aSet, cSet := cutSets(g, bSet, dSet, uNode)
+	n := g.N()
+	return twoCopy{cover, [3][]int{
+		concat(aSet, bSet, cSet),
+		concat(cSet, dSet, inCopy(aSet, 1, n)),
+		concat(inCopy(aSet, 1, n), inCopy(bSet, 1, n), inCopy(cSet, 1, n)),
+	}}, nil
+}
+
+// checkCutHalves rejects a cut half of more than f nodes.
+func checkCutHalves(f int, bSet, dSet []int) error {
+	if len(bSet) > f || len(dSet) > f {
+		return fmt.Errorf("core: cut halves must have at most f=%d nodes", f)
+	}
+	return nil
+}
+
+// baChecks are Byzantine agreement on E1–E3: validity forces 0 in E1
+// and 1 in E3; E2 has mixed inputs.
+var baChecks = [3]check{baCheck("0"), baCheck(""), baCheck("1")}
+
 // ByzantineNodes mechanizes the 3f+1 node bound of Theorem 1. The graph g
 // must have n <= 3f nodes, partitioned into non-empty blocks a, b, c of
 // size at most f. The devices (builders, keyed by node name) are
@@ -22,68 +99,16 @@ import (
 // failed the a-nodes would have decided both 0 and 1. The engine reports
 // every condition that actually fails; at least one must.
 func ByzantineNodes(g *graph.Graph, f int, a, b, c []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	if len(a) > f || len(b) > f || len(c) > f {
-		return nil, fmt.Errorf("core: partition blocks must have at most f=%d nodes", f)
-	}
-	cover, err := graph.PartitionCover(g, a, b, c)
+	tc, err := partitionCover(g, f, a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.BoolInput(false), sim.BoolInput(true)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 1 (3f+1 nodes)",
-		Problem:   "Byzantine agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-
-	n := g.N()
-	copy0 := func(nodes []int) []int { return append([]int(nil), nodes...) }
-	copy1 := func(nodes []int) []int {
-		shifted := make([]int, len(nodes))
-		for i, u := range nodes {
-			shifted[i] = u + n
-		}
-		return shifted
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		want   string
-		expect string
-	}{
-		{"E1", append(copy0(b), copy0(c)...), "0", "validity forces all correct nodes to choose 0"},
-		{"E2", append(copy0(c), copy1(a)...), "", "agreement chains c's choice (0) to a's"},
-		{"E3", append(copy1(a), copy1(b)...), "1", "validity forces all correct nodes to choose 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		cr.addBAViolations(sc.name, sp, sc.want)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across E1,E2,E3 — impossible (engine or device-determinism bug):\n%s", cr)
-	}
-	return cr, nil
+	cr := &ChainResult{Theorem: "Theorem 1 (3f+1 nodes)", Problem: "Byzantine agreement", Device: device, F: f, G: g}
+	return cr.run(tc.plan(sim.BoolInput(false), sim.BoolInput(true), rounds, baChecks, [3]string{
+		"validity forces all correct nodes to choose 0",
+		"agreement chains c's choice (0) to a's",
+		"validity forces all correct nodes to choose 1",
+	}), builders)
 }
 
 // ByzantineTriangle runs the f=1 triangle case of the node bound — the
@@ -103,86 +128,16 @@ func ByzantineTriangle(builders map[string]sim.Builder, device string, rounds in
 //	E2 = S2: c,d (copy 0) and a (copy 1) correct, b faulty -> agreement
 //	E3 = S3: a,b,c (copy 1) correct with input 1, d faulty -> validity forces 1
 func ByzantineConnectivity(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if len(bSet) > f || len(dSet) > f {
-		return nil, fmt.Errorf("core: cut halves must have at most f=%d nodes", f)
-	}
-	cover, err := graph.CutCover(g, bSet, dSet, uNode, vNode)
+	tc, err := cutCover(g, f, bSet, dSet, uNode, vNode)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.BoolInput(false), sim.BoolInput(true)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 1 (2f+1 connectivity)",
-		Problem:   "Byzantine agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-
-	removed := append(append([]int(nil), bSet...), dSet...)
-	aSet := g.ComponentWithout(removed, uNode)
-	inAorCut := make(map[int]bool, g.N())
-	for _, x := range aSet {
-		inAorCut[x] = true
-	}
-	for _, x := range removed {
-		inAorCut[x] = true
-	}
-	var cSet []int
-	for x := 0; x < g.N(); x++ {
-		if !inAorCut[x] {
-			cSet = append(cSet, x)
-		}
-	}
-	n := g.N()
-	shift := func(nodes []int, by int) []int {
-		out := make([]int, len(nodes))
-		for i, u := range nodes {
-			out[i] = u + by
-		}
-		return out
-	}
-	concat := func(parts ...[]int) []int {
-		var out []int
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		return out
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		want   string
-		expect string
-	}{
-		{"E1", concat(aSet, bSet, cSet), "0", "validity forces all correct nodes to choose 0"},
-		{"E2", concat(cSet, dSet, shift(aSet, n)), "", "agreement chains c's choice (0) through d to a's"},
-		{"E3", concat(shift(aSet, n), shift(bSet, n), shift(cSet, n)), "1", "validity forces all correct nodes to choose 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		cr.addBAViolations(sc.name, sp, sc.want)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across S1,S2,S3 — impossible (engine or device-determinism bug):\n%s", cr)
-	}
-	return cr, nil
+	cr := &ChainResult{Theorem: "Theorem 1 (2f+1 connectivity)", Problem: "Byzantine agreement", Device: device, F: f, G: g}
+	return cr.run(tc.plan(sim.BoolInput(false), sim.BoolInput(true), rounds, baChecks, [3]string{
+		"validity forces all correct nodes to choose 0",
+		"agreement chains c's choice (0) through d to a's",
+		"validity forces all correct nodes to choose 1",
+	}), builders)
 }
 
 // ByzantineDiamond runs the f=1 connectivity case on the paper's

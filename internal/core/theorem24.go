@@ -6,53 +6,242 @@ import (
 	"flm/internal/firingsquad"
 	"flm/internal/graph"
 	"flm/internal/sim"
-	"flm/internal/weak"
 )
 
-// baseSplice wraps an ordinary (non-spliced) run of G as a pseudo-splice
-// so base behaviors can appear as chain links.
-func baseSplice(run *sim.Run) *Splice {
-	return &Splice{Run: run, Correct: run.G.Names()}
+// Theorems 2 and 4 make one ring argument. The all-correct runs B0 and
+// B1 of G, with every input 0 and every input 1, fix the decision round
+// t. A ring of 4k positions covering G is built for t: a position is a
+// node of the triangle's ring or a copy of G in a ring of copies.
+// Positions 0..2k-1 hold input 1 and the rest input 0. Every scenario
+// around the ring splices into a correct behavior of G with at most f
+// faults, in which agreement (or simultaneous firing) chains its
+// correct nodes' choices to the next scenario's. But by Lemma 3 the
+// middle positions k and 3k, at least k > t edges from the other half,
+// behave for k rounds as B1 and B0 do, so they choose differently, and
+// some link must break.
+
+// ringProblem is what the weak agreement and firing squad rings differ
+// in: the checks and expectations of B0, B1 and the ring links, and the
+// decision value whose rounds fix t ("" for every decision).
+type ringProblem struct {
+	baseExpect [2]string
+	baseCheck  [2]check
+	linkExpect string
+	linkCheck  check
+	tDecision  string
 }
 
-// runTriangle executes the all-correct triangle with a uniform input.
-func runTriangle(builders map[string]sim.Builder, input sim.Input, rounds int) (*sim.Run, error) {
-	g := graph.Triangle()
-	p := sim.Protocol{Builders: builders, Inputs: map[string]sim.Input{}}
-	for _, name := range g.Names() {
-		p.Inputs[name] = input
+// weakRing is weak agreement: validity binds in B0 and B1, agreement on
+// every link.
+func weakRing(linkExpect string) ringProblem {
+	return ringProblem{
+		baseExpect: [2]string{
+			"all-correct unanimous 0: choice + validity force 0",
+			"all-correct unanimous 1: choice + validity force 1",
+		},
+		baseCheck:  [2]check{weakCheck(true), weakCheck(true)},
+		linkExpect: linkExpect,
+		linkCheck:  weakCheck(false),
 	}
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		return nil, err
-	}
-	return sim.Execute(sys, rounds)
 }
 
-// ringArcInputs assigns input one to ring nodes 0..2k-1 and zero to
-// 2k..4k-1 (the paper's half-and-half assignment).
-func ringArcInputs(s *graph.Graph, k int, one, zero sim.Input) map[string]sim.Input {
-	inputs := make(map[string]sim.Input, s.N())
-	for i := 0; i < s.N(); i++ {
-		if i < 2*k {
-			inputs[s.Name(i)] = one
-		} else {
-			inputs[s.Name(i)] = zero
-		}
+// firingSquadRing is the Byzantine firing squad, input 1 being the
+// stimulus: B1 must fire and B0 must not, and the fire round of B1
+// fixes t.
+func firingSquadRing(base0, base1, linkExpect string) ringProblem {
+	return ringProblem{
+		baseExpect: [2]string{base0, base1},
+		baseCheck:  [2]check{firingSquadCheck(true, false), firingSquadCheck(true, true)},
+		linkExpect: linkExpect,
+		linkCheck:  firingSquadCheck(false, false),
+		tDecision:  firingsquad.Fired,
 	}
-	return inputs
 }
 
-// chooseK returns the smallest multiple of 3 strictly greater than
-// horizonRound — the paper's "choose k > t'/δ, a multiple of 3" with
-// δ = one round.
-func chooseK(horizonRound int) int {
-	k := horizonRound + 1
+// ring is a covering ring built for a decision round t: its k, its
+// cover, the S-nodes per ring position (S-node s is at position
+// s/width), and the scenarios to splice, in link order.
+type ring struct {
+	k, width int
+	cover    *graph.Cover
+	u        [][]int
+}
+
+// triangleRing is the 4k-node ring covering the triangle, k the least
+// multiple of 3 above t (the paper's k > t'/δ with δ one round), with
+// every adjacent pair of nodes as a scenario.
+func triangleRing(t int) (ring, error) {
+	k := t + 1
 	for k%3 != 0 {
 		k++
 	}
-	return k
+	r := ring{k: k, width: 1, cover: graph.RingCoverTriangle(4 * k), u: make([][]int, 0, 4*k)}
+	for i := 0; i < 4*k; i++ {
+		r.u = append(r.u, []int{i, (i + 1) % (4 * k)})
+	}
+	return r, nil
 }
+
+// blockRing is the ring of 4k copies of g, k = t+1, with the a-c edges
+// crossed into the next copy, so the blocks run ...a_i b_i c_i
+// a_(i+1)...; each copy gives three scenarios, each one block faulty:
+//
+//	a_i ∪ b_i      (c faulty: faces c_(i+1) toward a, c_i toward b)
+//	b_i ∪ c_i      (a faulty: faces a_i toward b, a_(i-1) toward c)
+//	a_i ∪ c_(i+1)  (b faulty: faces b_i toward a, b_(i+1) toward c)
+func blockRing(g *graph.Graph, block []int, a, b, c []int) func(t int) (ring, error) {
+	return func(t int) (ring, error) {
+		k, n := t+1, g.N()
+		r := ring{k: k, width: n, cover: blockCover(g, block, 0, 2, 4*k), u: make([][]int, 0, 3*4*k)}
+		for i := 0; i < 4*k; i++ {
+			r.u = append(r.u,
+				concat(inCopy(a, i, n), inCopy(b, i, n)),
+				concat(inCopy(b, i, n), inCopy(c, i, n)),
+				concat(inCopy(a, i, n), inCopy(c, (i+1)%(4*k), n)))
+		}
+		return r, nil
+	}
+}
+
+// cutRing is the ring of 4k copies of g, k = t+1, with the a-d edges of
+// the cut (bSet, dSet) crossed into the next copy; its scenarios are
+// cutScenarios.
+func cutRing(g *graph.Graph, bSet, dSet []int, uNode, vNode int) func(t int) (ring, error) {
+	return func(t int) (ring, error) {
+		k := t + 1
+		cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, 4*k)
+		if err != nil {
+			return ring{}, err
+		}
+		return ring{k: k, width: g.N(), cover: cover, u: cutScenarios(g, bSet, dSet, uNode, 4*k)}, nil
+	}
+}
+
+// cutScenarios lists, for i = 0..m-1 of a ring of m copies of g with
+// the cut's a-d edges crossed, X_i then Y_i:
+//
+//	X_i = copy i without its d-nodes  (d faulty, masquerading from the
+//	                                   two neighboring copies)
+//	Y_i = c∪d of copy i, a of copy i-1  (b faulty)
+func cutScenarios(g *graph.Graph, bSet, dSet []int, uNode, m int) [][]int {
+	aSet, cSet := cutSets(g, bSet, dSet, uNode)
+	inD := make(map[int]bool, len(dSet))
+	for _, x := range dSet {
+		inD[x] = true
+	}
+	var notD []int
+	for x := 0; x < g.N(); x++ {
+		if !inD[x] {
+			notD = append(notD, x)
+		}
+	}
+	n := g.N()
+	u := make([][]int, 0, 2*m)
+	for i := 0; i < m; i++ {
+		u = append(u, inCopy(notD, i, n),
+			concat(inCopy(cSet, i, n), inCopy(dSet, i, n), inCopy(aSet, (i-1+m)%m, n)))
+	}
+	return u
+}
+
+// ringChain runs the ring argument on cr.G: the base runs, then the
+// ring that build makes for their decision round, with the Lemma 3
+// self-check on its middles. Devices that already fail a base run are
+// defeated there, and no ring is built.
+func ringChain(cr *ChainResult, pr ringProblem, builders map[string]sim.Builder, horizon int, build func(t int) (ring, error)) (*ChainResult, error) {
+	var base [2]*sim.Run
+	t := 0
+	for bit := range base {
+		p := sim.Protocol{Builders: builders, Inputs: map[string]sim.Input{}}
+		for _, name := range cr.G.Names() {
+			p.Inputs[name] = bits[bit]
+		}
+		sys, err := sim.NewSystem(cr.G, p)
+		if err != nil {
+			return nil, err
+		}
+		run, err := sim.Execute(sys, horizon)
+		if err != nil {
+			return nil, err
+		}
+		base[bit] = run
+		name, all := fmt.Sprintf("B%d", bit), run.G.Names()
+		cr.addLink(Link{Name: name, Splice: &Splice{Run: run, Correct: all}, Expect: pr.baseExpect[bit], Correct: all})
+		cr.addViolations(name, pr.baseCheck[bit](run, all))
+		for _, d := range run.Decisions {
+			if (d.Value == pr.tDecision || pr.tDecision == "") && d.Round > t {
+				t = d.Round
+			}
+		}
+	}
+	if cr.Contradicted() {
+		return cr, nil // not even a solution when no node is faulty
+	}
+	if horizon <= t+1 {
+		return nil, fmt.Errorf("core: horizon %d too small for decision round %d", horizon, t)
+	}
+	r, err := build(t)
+	if err != nil {
+		return nil, err
+	}
+	p := plan{
+		cover:     r.cover,
+		inputs:    make(map[string]sim.Input, r.cover.S.N()),
+		rounds:    horizon,
+		selfCheck: r.middles(base),
+		scenarios: make([]scenario, 0, len(r.u)),
+	}
+	for s := 0; s < r.cover.S.N(); s++ {
+		p.inputs[r.cover.S.Name(s)] = bits[0]
+		if s/r.width < 2*r.k {
+			p.inputs[r.cover.S.Name(s)] = bits[1]
+		}
+	}
+	for i, u := range r.u {
+		p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("E%d", i), u, pr.linkExpect, pr.linkCheck})
+	}
+	return cr.run(p, builders)
+}
+
+// middles is the Lemma 3 self-check on the covering run: an S-node at
+// middle position k (input 1) or 3k (input 0) is at least k edges from
+// every opposite input, so its snapshots must equal its G-image's in
+// that half's base run for k rounds, and whatever it decides before
+// round k, the image decides too. A failure is a simulator bug, not a
+// device failure, so it is an error.
+func (r ring) middles(base [2]*sim.Run) func(runS *sim.Run) error {
+	before := func(d sim.Decision) sim.Decision {
+		if d.Value == "" || d.Round >= r.k {
+			return sim.Decision{}
+		}
+		return d
+	}
+	return func(runS *sim.Run) error {
+		for bit, pos := range [2]int{3 * r.k, r.k} {
+			for s := pos * r.width; s < (pos+1)*r.width; s++ {
+				sName, gName := r.cover.S.Name(s), r.cover.G.Name(r.cover.Phi[s])
+				div, err := sim.PrefixEqual(runS, sName, base[bit], gName)
+				if err != nil {
+					return err
+				}
+				if div < r.k && div < runS.Rounds {
+					return fmt.Errorf("core: Lemma 3 violated: ring node %s diverged from base-%d %s at round %d < k=%d",
+						sName, bit, gName, div, r.k)
+				}
+				dS, _ := runS.DecisionOf(sName)
+				dB, _ := base[bit].DecisionOf(gName)
+				if before(dS) != before(dB) {
+					return fmt.Errorf("core: Lemma 3 violated: ring node %s decided %q at round %d, base-%d %s %q at round %d",
+						sName, dS.Value, dS.Round, bit, gName, dB.Value, dB.Round)
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// bits are the ring arguments' inputs 0 and 1.
+var bits = [2]sim.Input{"0", "1"}
 
 // WeakAgreementRing mechanizes Theorem 2 for the triangle: weak agreement
 // devices A, B, C are run on the all-0 and all-1 correct triangles to
@@ -65,127 +254,32 @@ func chooseK(horizonRound int) int {
 // 1. The engine locates the adjacent pair whose spliced behavior breaks
 // agreement (or the base/choice condition that failed earlier).
 func WeakAgreementRing(builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
-	cr := &ChainResult{
-		Theorem: "Theorem 2 (weak agreement)",
-		Problem: "weak Byzantine agreement",
-		Device:  device,
-		F:       1,
-		G:       graph.Triangle(),
-	}
-	// Base behaviors: all correct, unanimous inputs.
-	base := make(map[string]*sim.Run, 2)
-	tPrime := 0
-	for _, bit := range []string{"0", "1"} {
-		run, err := runTriangle(builders, sim.Input(bit), horizon)
-		if err != nil {
-			return nil, err
-		}
-		base[bit] = run
-		name := "B" + bit
-		cr.addLink(Link{
-			Name: name, Splice: baseSplice(run),
-			Expect:  fmt.Sprintf("all-correct unanimous %s: choice + validity force %s", bit, bit),
-			Correct: run.G.Names(),
-		})
-		rep := weak.Check(run, run.G.Names(), true)
-		if rep.Choice != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "choice", Detail: rep.Choice.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
-		for _, nodeName := range run.G.Names() {
-			if d, _ := run.DecisionOf(nodeName); d.Round > tPrime {
-				tPrime = d.Round
-			}
-		}
-	}
-	if cr.Contradicted() {
-		return cr, nil // not even a weak agreement device in fault-free runs
-	}
-	k := chooseK(tPrime)
-	m := 4 * k
-	if horizon <= tPrime+1 {
-		return nil, fmt.Errorf("core: horizon %d too small for decision round %d", horizon, tPrime)
-	}
-	cover := graph.RingCoverTriangle(m)
-	inst, err := InstallCover(cover, builders, ringArcInputs(cover.S, k, "1", "0"))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(horizon)
-	if err != nil {
-		return nil, err
-	}
-	cr.RunS = runS
-	cr.CoverSize = m
-
-	// Bounded-Delay self-check (Lemma 3): the middles of the arcs are at
-	// distance >= k from any opposite input, so their behaviors track
-	// the unanimous base runs for at least k rounds, and k > t' means
-	// they inherit the base decisions.
-	if err := checkArcMiddles(cr, runS, cover, base, k, map[string]string{"1": "1", "0": "0"}); err != nil {
-		return nil, err
-	}
-
-	// Splice every adjacent pair into a correct one-fault behavior.
-	for i := 0; i < m; i++ {
-		j := (i + 1) % m
-		name := fmt.Sprintf("E%d", i)
-		sp, err := SpliceScenario(inst, runS, []int{i, j}, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  "the two correct nodes must agree",
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := weak.Check(sp.Run, sp.Correct, false)
-		if rep.Choice != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "choice", Detail: rep.Choice.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: ring of %d chained to agreement yet arc middles differ — impossible:\n%s", m, cr)
-	}
-	return cr, nil
+	cr := &ChainResult{Theorem: "Theorem 2 (weak agreement)", Problem: "weak Byzantine agreement", Device: device, F: 1, G: graph.Triangle()}
+	return ringChain(cr, weakRing("the two correct nodes must agree"), builders, horizon, triangleRing)
 }
 
-// checkArcMiddles verifies Lemma 3 numerically: the middle node of each
-// arc must have a snapshot prefix identical to its triangle image in the
-// matching unanimous base run for at least k rounds, and must have
-// inherited that run's decision. A failure is a simulator bug, not a
-// device failure, so it is returned as an error.
-func checkArcMiddles(cr *ChainResult, runS *sim.Run, cover *graph.Cover, base map[string]*sim.Run, k int, wantByArc map[string]string) error {
-	mids := map[string]int{"1": k, "0": 3 * k} // middle of the 1-arc and 0-arc
-	for bit, mid := range mids {
-		sName := cover.S.Name(mid)
-		gName := cover.G.Name(cover.Phi[mid])
-		div, err := sim.PrefixEqual(runS, sName, base[bit], gName)
-		if err != nil {
-			return err
-		}
-		if div < k && div < runS.Rounds {
-			return fmt.Errorf("core: Lemma 3 violated: ring node %s diverged from base-%s %s at round %d < k=%d",
-				sName, bit, gName, div, k)
-		}
-		dS, err := runS.DecisionOf(sName)
-		if err != nil {
-			return err
-		}
-		want := wantByArc[bit]
-		if want != "" && dS.Value != want {
-			return fmt.Errorf("core: ring node %s decided %q, want %q from the base-%s run", sName, dS.Value, want, bit)
-		}
+// WeakAgreementCutRing mechanizes the connectivity half of Theorem 2:
+// weak agreement is impossible on a graph with a cut of size <= 2f. The
+// horizon must cover the base decision round plus the ring transit.
+func WeakAgreementCutRing(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
+	if err := checkCutHalves(f, bSet, dSet); err != nil {
+		return nil, err
 	}
-	return nil
+	cr := &ChainResult{Theorem: "Theorem 2 (weak agreement, 2f+1 connectivity)", Problem: "weak Byzantine agreement", Device: device, F: f, G: g}
+	return ringChain(cr, weakRing("all correct nodes in this one-fault behavior must agree"),
+		builders, horizon, cutRing(g, bSet, dSet, uNode, vNode))
+}
+
+// WeakAgreementNodesRing mechanizes the general node bound of Theorem 2:
+// weak agreement is impossible on any graph with n <= 3f nodes.
+func WeakAgreementNodesRing(g *graph.Graph, f int, aSet, bSet, cSet []int, builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
+	block, err := graph.Partition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
+	}
+	cr := &ChainResult{Theorem: "Theorem 2 (weak agreement, 3f+1 nodes, general case)", Problem: "weak Byzantine agreement", Device: device, F: f, G: g}
+	return ringChain(cr, weakRing("all correct nodes in this one-block-fault behavior must agree"),
+		builders, horizon, blockRing(g, block, aSet, bSet, cSet))
 }
 
 // FiringSquadRing mechanizes Theorem 4 for the triangle. The all-correct
@@ -197,95 +291,34 @@ func checkArcMiddles(cr *ChainResult, runS *sim.Run, cover *graph.Cover, base ma
 // behavior of the triangle in which firing must be simultaneous — so
 // some pair's spliced behavior breaks the agreement condition.
 func FiringSquadRing(builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
-	cr := &ChainResult{
-		Theorem: "Theorem 4 (Byzantine firing squad)",
-		Problem: "Byzantine firing squad",
-		Device:  device,
-		F:       1,
-		G:       graph.Triangle(),
-	}
-	base := make(map[string]*sim.Run, 2)
-	fireTime := -1
-	for _, bit := range []string{"0", "1"} {
-		run, err := runTriangle(builders, sim.Input(bit), horizon)
-		if err != nil {
-			return nil, err
-		}
-		base[bit] = run
-		name := "B" + bit
-		stimulated := bit == "1"
-		expect := "no stimulus and all correct: nobody fires"
-		if stimulated {
-			expect = "stimulus everywhere and all correct: everyone fires, simultaneously"
-		}
-		cr.addLink(Link{
-			Name: name, Splice: baseSplice(run), Expect: expect, Correct: run.G.Names(),
-		})
-		rep := firingsquad.Check(run, run.G.Names(), true, stimulated)
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
-		if stimulated {
-			for _, nodeName := range run.G.Names() {
-				if d, _ := run.DecisionOf(nodeName); d.Value == firingsquad.Fired && d.Round > fireTime {
-					fireTime = d.Round
-				}
-			}
-		}
-	}
-	if cr.Contradicted() {
-		return cr, nil
-	}
-	k := chooseK(fireTime)
-	m := 4 * k
-	if horizon <= fireTime+1 {
-		return nil, fmt.Errorf("core: horizon %d too small for fire time %d", horizon, fireTime)
-	}
-	cover := graph.RingCoverTriangle(m)
-	inst, err := InstallCover(cover, builders, ringArcInputs(cover.S, k, "1", "0"))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(horizon)
-	if err != nil {
-		return nil, err
-	}
-	cr.RunS = runS
-	cr.CoverSize = m
-
-	if err := checkArcMiddles(cr, runS, cover, base, k,
-		map[string]string{"1": firingsquad.Fired, "0": ""}); err != nil {
-		return nil, err
-	}
-	// The quiet arc's middle tracked the no-stimulus run through round
-	// k-1, so it cannot have fired before round k (while the stimulated
-	// middle fired at t < k).
-	if d, _ := runS.DecisionOf(cover.S.Name(3 * k)); d.Value == firingsquad.Fired && d.Round < k {
-		return nil, fmt.Errorf("core: quiet-arc middle fired at %d < k=%d despite tracking the no-stimulus run", d.Round, k)
-	}
-
-	for i := 0; i < m; i++ {
-		j := (i + 1) % m
-		name := fmt.Sprintf("E%d", i)
-		sp, err := SpliceScenario(inst, runS, []int{i, j}, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  "the two correct nodes fire simultaneously or not at all",
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := firingsquad.Check(sp.Run, sp.Correct, false, false)
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: every adjacent pair fired in lockstep yet the arcs differ — impossible:\n%s", cr)
-	}
-	return cr, nil
+	cr := &ChainResult{Theorem: "Theorem 4 (Byzantine firing squad)", Problem: "Byzantine firing squad", Device: device, F: 1, G: graph.Triangle()}
+	return ringChain(cr, firingSquadRing(
+		"no stimulus and all correct: nobody fires",
+		"stimulus everywhere and all correct: everyone fires, simultaneously",
+		"the two correct nodes fire simultaneously or not at all"), builders, horizon, triangleRing)
 }
+
+// FiringSquadCutRing mechanizes the connectivity half of Theorem 4.
+func FiringSquadCutRing(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
+	if err := checkCutHalves(f, bSet, dSet); err != nil {
+		return nil, err
+	}
+	cr := &ChainResult{Theorem: "Theorem 4 (firing squad, 2f+1 connectivity)", Problem: "Byzantine firing squad", Device: device, F: f, G: g}
+	return ringChain(cr, firingSquadRing(baseFiring, baseFiring, "correct nodes fire simultaneously or not at all"),
+		builders, horizon, cutRing(g, bSet, dSet, uNode, vNode))
+}
+
+// FiringSquadNodesRing mechanizes the general node bound of Theorem 4.
+func FiringSquadNodesRing(g *graph.Graph, f int, aSet, bSet, cSet []int, builders map[string]sim.Builder, device string, horizon int) (*ChainResult, error) {
+	block, err := graph.Partition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
+	}
+	cr := &ChainResult{Theorem: "Theorem 4 (firing squad, 3f+1 nodes, general case)", Problem: "Byzantine firing squad", Device: device, F: f, G: g}
+	return ringChain(cr, firingSquadRing(baseFiring, baseFiring, "correct nodes fire simultaneously or not at all"),
+		builders, horizon, blockRing(g, block, aSet, bSet, cSet))
+}
+
+// baseFiring is the expectation of both base runs of the general firing
+// squad rings.
+const baseFiring = "base validity: fire simultaneously iff stimulated"

@@ -4,10 +4,15 @@ import (
 	"fmt"
 	"math"
 
-	"flm/internal/approx"
 	"flm/internal/graph"
 	"flm/internal/sim"
 )
+
+// Theorem 5 runs Theorem 1's two-copy chains with the simple
+// approximate agreement check on every link.
+const simpleApprox = "simple approximate agreement"
+
+var approxChecks = [3]check{simpleApproxCheck, simpleApproxCheck, simpleApproxCheck}
 
 // SimpleApproxNodes mechanizes Theorem 5 (simple approximate agreement
 // needs 3f+1 nodes). The construction is exactly the Byzantine one — the
@@ -21,63 +26,16 @@ import (
 // If E1 and E3 hold, the choices in E2 are 0 and 1, no closer than the
 // inputs — violating the strict-contraction agreement condition.
 func SimpleApproxNodes(g *graph.Graph, f int, a, b, c []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	cover, err := graph.PartitionCover(g, a, b, c)
+	tc, err := partitionCover(g, f, a, b, c)
 	if err != nil {
 		return nil, err
 	}
-	inst, err := InstallCover(cover, builders, copyInputs(cover.S, sim.RealInput(0), sim.RealInput(1)))
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 5 (3f+1 nodes)",
-		Problem:   "simple approximate agreement",
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-	n := g.N()
-	shift := func(nodes []int) []int {
-		out := make([]int, len(nodes))
-		for i, u := range nodes {
-			out[i] = u + n
-		}
-		return out
-	}
-	scenarios := []struct {
-		name   string
-		u      []int
-		expect string
-	}{
-		{"E1", append(append([]int(nil), b...), c...), "validity pins every choice to 0"},
-		{"E2", append(append([]int(nil), c...), shift(a)...), "choices must be strictly closer than the inputs (1 apart)"},
-		{"E3", append(shift(a), shift(b)...), "validity pins every choice to 1"},
-	}
-	for _, sc := range scenarios {
-		sp, err := SpliceScenario(inst, runS, sc.u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", sc.name, err)
-		}
-		cr.addLink(Link{
-			Name: sc.name, Splice: sp, Expect: sc.expect,
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckSimple(sp.Run, sp.Correct)
-		cr.addApproxViolations(sc.name, rep)
-	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across E1,E2,E3 — impossible:\n%s", cr)
-	}
-	return cr, nil
+	cr := &ChainResult{Theorem: "Theorem 5 (3f+1 nodes)", Problem: simpleApprox, Device: device, F: f, G: g}
+	return cr.run(tc.plan(sim.RealInput(0), sim.RealInput(1), rounds, approxChecks, [3]string{
+		"validity pins every choice to 0",
+		"choices must be strictly closer than the inputs (1 apart)",
+		"validity pins every choice to 1",
+	}), builders)
 }
 
 // SimpleApproxTriangle runs the f=1 hexagon case of Theorem 5.
@@ -85,22 +43,19 @@ func SimpleApproxTriangle(builders map[string]sim.Builder, device string, rounds
 	return SimpleApproxNodes(graph.Triangle(), 1, []int{0}, []int{1}, []int{2}, builders, device, rounds)
 }
 
-func (cr *ChainResult) addApproxViolations(linkName string, rep approx.SimpleReport) {
-	if rep.Termination != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "termination", Detail: rep.Termination.Error(),
-		})
+// SimpleApproxConnectivity mechanizes the connectivity half of Theorem 5
+// (same structure as the Byzantine case, approximate conditions).
+func SimpleApproxConnectivity(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
+	tc, err := cutCover(g, f, bSet, dSet, uNode, vNode)
+	if err != nil {
+		return nil, err
 	}
-	if rep.Agreement != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "agreement", Detail: rep.Agreement.Error(),
-		})
-	}
-	if rep.Validity != nil {
-		cr.Violations = append(cr.Violations, Violation{
-			Link: linkName, Condition: "validity", Detail: rep.Validity.Error(),
-		})
-	}
+	cr := &ChainResult{Theorem: "Theorem 5 (2f+1 connectivity)", Problem: simpleApprox, Device: device, F: f, G: g}
+	return cr.run(tc.plan(sim.RealInput(0), sim.RealInput(1), rounds, approxChecks, [3]string{
+		"validity pins every choice to 0",
+		"choices strictly closer than the inputs (1 apart)",
+		"validity pins every choice to 1",
+	}), builders)
 }
 
 // EDGParams are the (ε,δ,γ)-agreement parameters; the theorem requires
@@ -141,53 +96,13 @@ func EpsilonDeltaGamma(params EDGParams, builders map[string]sim.Builder, device
 		return nil, err
 	}
 	cover := graph.RingCoverTriangle(size)
-	inputs := make(map[string]sim.Input, size)
-	for i := 0; i < size; i++ {
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(i) * params.Delta)
-	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         1,
-		G:         cover.G,
-		CoverSize: size,
-		RunS:      runS,
-	}
+	p := params.plan(cover, rounds, func(s int) int { return s })
 	for i := 0; i <= k; i++ {
-		name := fmt.Sprintf("S%d", i)
-		sp, err := SpliceScenario(inst, runS, []int{i, i + 1}, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  fmt.Sprintf("choices within ε of each other and within [%v-γ, %v+γ]", float64(i)*params.Delta, float64(i+1)*params.Delta),
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
+		p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("S%d", i), []int{i, i + 1},
+			fmt.Sprintf("choices within ε of each other and within [%v-γ, %v+γ]", float64(i)*params.Delta, float64(i+1)*params.Delta),
+			edgCheck(params)})
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across S0..S%d — impossible (Lemma 7 arithmetic):\n%s", k, cr)
-	}
-	return cr, nil
+	return params.chain("", device, 1, cover.G).run(p, builders)
 }
 
 // EpsilonDeltaGammaNodes mechanizes the general node bound of Theorem 6
@@ -197,190 +112,80 @@ func EpsilonDeltaGamma(params EDGParams, builders map[string]sim.Builder, device
 // a correct behavior whose inputs are at most delta apart. Lemma 7's
 // induction is unchanged.
 func EpsilonDeltaGammaNodes(params EDGParams, g *graph.Graph, f int, aSet, bSet, cSet []int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if g.N() > 3*f {
-		return nil, fmt.Errorf("core: graph has %d > 3f = %d nodes; not inadequate by node count", g.N(), 3*f)
-	}
-	if len(aSet) > f || len(bSet) > f || len(cSet) > f ||
-		len(aSet) == 0 || len(bSet) == 0 || len(cSet) == 0 {
-		return nil, fmt.Errorf("core: partition blocks must be non-empty with at most f=%d nodes", f)
+	block, err := graph.Partition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
 	}
 	k, size, err := params.RingSize()
 	if err != nil {
 		return nil, err
 	}
-	block := make([]int, g.N())
-	for i := range block {
-		block[i] = -1
-	}
-	for id, set := range [][]int{aSet, bSet, cSet} {
-		for _, x := range set {
-			if x < 0 || x >= g.N() || block[x] != -1 {
-				return nil, fmt.Errorf("core: invalid partition at node %d", x)
-			}
-			block[x] = id
-		}
-	}
-	for x, id := range block {
-		if id == -1 {
-			return nil, fmt.Errorf("core: node %s not covered by the partition", g.Name(x))
-		}
-	}
-	copies := size / 3
-	cover := graph.CyclicCover(g, func(u, v int) bool {
-		return block[u] == 2 && block[v] == 0 // c_i -> a_(i+1): consecutive positions
-	}, copies)
 	n := g.N()
-	position := make([]int, cover.S.N())
+	position := func(s int) int { return (s/n)*3 + block[s%n] }
+	cover := blockCover(g, block, 2, 0, size/3) // c_i -> a_(i+1): consecutive positions
 	members := make([][]int, size)
-	inputs := make(map[string]sim.Input, cover.S.N())
-	for i := range position {
-		position[i] = (i/n)*3 + block[i%n]
-		members[position[i]] = append(members[position[i]], i)
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(position[i]) * params.Delta)
+	for s := 0; s < cover.S.N(); s++ {
+		members[position(s)] = append(members[position(s)], s)
 	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement, 3f+1 nodes, general case)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
+	p := params.plan(cover, rounds, position)
 	for j := 0; j <= k; j++ {
-		name := fmt.Sprintf("S%d", j)
-		u := append(append([]int(nil), members[j]...), members[j+1]...)
-		sp, err := SpliceScenario(inst, runS, u, builders)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  fmt.Sprintf("choices within ε and within γ of [%v, %v]", float64(j)*params.Delta, float64(j+1)*params.Delta),
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
+		p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("S%d", j), concat(members[j], members[j+1]),
+			fmt.Sprintf("choices within ε and within γ of [%v, %v]", float64(j)*params.Delta, float64(j+1)*params.Delta),
+			edgCheck(params)})
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across the block ring — impossible:\n%s", cr)
-	}
-	return cr, nil
+	return params.chain(", 3f+1 nodes, general case", device, f, g).run(p, builders)
 }
 
 // EpsilonDeltaGammaConnectivity mechanizes the connectivity bound of
 // Theorem 6: k+2 copies of a graph with a <=2f cut in a ring, copy i
 // holding input i*delta; the within-copy scenarios (X_i, d faulty) have
 // input spread 0 and the cross-copy scenarios (Y_i = c_i ∪ d_i ∪ a_{i-1},
-// b faulty) have spread exactly delta.
+// b faulty) have spread exactly delta. The chain is X0, then X_i and
+// Y_i for i = 1..k.
 func EpsilonDeltaGammaConnectivity(params EDGParams, g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int, builders map[string]sim.Builder, device string, rounds int) (*ChainResult, error) {
-	if len(bSet) > f || len(dSet) > f {
-		return nil, fmt.Errorf("core: cut halves must have at most f=%d nodes", f)
+	if err := checkCutHalves(f, bSet, dSet); err != nil {
+		return nil, err
 	}
 	k, size, err := params.RingSize()
 	if err != nil {
 		return nil, err
 	}
-	copies := size // one copy per ring position
-	cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, copies)
+	cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, size) // one copy per ring position
 	if err != nil {
 		return nil, err
 	}
 	n := g.N()
-	inputs := make(map[string]sim.Input, cover.S.N())
-	for i := 0; i < cover.S.N(); i++ {
-		inputs[cover.S.Name(i)] = sim.RealInput(float64(i/n) * params.Delta)
-	}
-	inst, err := InstallCover(cover, builders, inputs)
-	if err != nil {
-		return nil, err
-	}
-	runS, err := inst.Execute(rounds)
-	if err != nil {
-		return nil, err
-	}
-	cr := &ChainResult{
-		Theorem:   "Theorem 6 ((ε,δ,γ)-agreement, 2f+1 connectivity)",
-		Problem:   fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", params.Eps, params.Delta, params.Gamma),
-		Device:    device,
-		F:         f,
-		G:         g,
-		CoverSize: cover.S.N(),
-		RunS:      runS,
-	}
-	aSet, cSet := cutSets(g, bSet, dSet, uNode)
-	inD := make(map[int]bool, len(dSet))
-	for _, x := range dSet {
-		inD[x] = true
-	}
-	evaluate := func(name string, u []int) error {
-		sp, err := SpliceScenario(inst, runS, u, builders)
-		if err != nil {
-			return fmt.Errorf("core: %s: %w", name, err)
-		}
-		cr.addLink(Link{
-			Name: name, Splice: sp,
-			Expect:  "choices within ε and within γ of the inputs",
-			Correct: sp.Correct, Faulty: sp.Faulty,
-		})
-		rep := approx.CheckEDG(sp.Run, sp.Correct, params.Eps, params.Gamma)
-		if rep.Termination != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "termination", Detail: rep.Termination.Error()})
-		}
-		if rep.Agreement != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "agreement", Detail: rep.Agreement.Error()})
-		}
-		if rep.Validity != nil {
-			cr.Violations = append(cr.Violations, Violation{Link: name, Condition: "validity", Detail: rep.Validity.Error()})
-		}
-		return nil
-	}
+	p := params.plan(cover, rounds, func(s int) int { return s / n })
+	xy := cutScenarios(g, bSet, dSet, uNode, size)
 	for i := 0; i <= k; i++ {
-		var x []int
-		for node := 0; node < n; node++ {
-			if !inD[node] {
-				x = append(x, i*n+node)
-			}
-		}
-		if err := evaluate(fmt.Sprintf("X%d", i), x); err != nil {
-			return nil, err
-		}
+		p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("X%d", i), xy[2*i], edgExpect, edgCheck(params)})
 		if i >= 1 {
-			var y []int
-			for _, node := range cSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range dSet {
-				y = append(y, i*n+node)
-			}
-			for _, node := range aSet {
-				y = append(y, (i-1)*n+node)
-			}
-			if err := evaluate(fmt.Sprintf("Y%d", i), y); err != nil {
-				return nil, err
-			}
+			p.scenarios = append(p.scenarios, scenario{fmt.Sprintf("Y%d", i), xy[2*i+1], edgExpect, edgCheck(params)})
 		}
 	}
-	if !cr.Contradicted() {
-		return cr, fmt.Errorf("core: no condition violated across the copy ring — impossible:\n%s", cr)
+	return params.chain(", 2f+1 connectivity", device, f, g).run(p, builders)
+}
+
+const edgExpect = "choices within ε and within γ of the inputs"
+
+// plan is a Theorem 6 plan on cover with no scenarios yet: S-node s
+// holds input position(s)*delta.
+func (p EDGParams) plan(cover *graph.Cover, rounds int, position func(s int) int) plan {
+	inputs := make(map[string]sim.Input, cover.S.N())
+	for s := 0; s < cover.S.N(); s++ {
+		inputs[cover.S.Name(s)] = sim.RealInput(float64(position(s)) * p.Delta)
 	}
-	return cr, nil
+	return plan{cover: cover, inputs: inputs, rounds: rounds}
+}
+
+// chain is the header of a Theorem 6 chain; variant qualifies the
+// theorem's name.
+func (p EDGParams) chain(variant, device string, f int, g *graph.Graph) *ChainResult {
+	return &ChainResult{
+		Theorem: "Theorem 6 ((ε,δ,γ)-agreement" + variant + ")",
+		Problem: fmt.Sprintf("(ε=%v, δ=%v, γ=%v)-agreement", p.Eps, p.Delta, p.Gamma),
+		Device:  device, F: f, G: g,
+	}
 }
 
 // Lemma7Bounds returns, for each node i in 1..k+1, the ceiling that

@@ -129,7 +129,9 @@ func TestMakefileChaosDefaultsPinned(t *testing.T) {
 // TestCIObservabilitySmokePinned: the workflow's trace-smoke job runs
 // both observability legs — the stats summary and the trace-diff
 // regression gate — so neither can be dropped without this test
-// noticing.
+// noticing; and the summary leg traces E1-E6 and requires the chain
+// section to list all 13 theorem families of Theorems 1-6, so the link
+// spans of no theorem can vanish unnoticed.
 func TestCIObservabilitySmokePinned(t *testing.T) {
 	data, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -138,6 +140,20 @@ func TestCIObservabilitySmokePinned(t *testing.T) {
 	for _, target := range []string{"make trace-smoke", "make trace-diff"} {
 		if !regexp.MustCompile(`(?m)run:\s+` + target + `\b`).Match(data) {
 			t.Errorf("CI workflow no longer runs %q", target)
+		}
+	}
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smoke := recipe(t, string(makefile), "trace-smoke")
+	for name, pattern := range map[string]string{
+		"E1-E6 traced":       `flm run -trace \$\(TRACE_FILE\) E1 E2 E3 E4 E5 E6 `,
+		"family count":       `grep -c ' chain\(s\), ' \$\(TRACE_FILE\)\.stats\.txt`,
+		"13 families or die": `test "\$\$families" -eq 13 \|\| \{.*exit 1; \}`,
+	} {
+		if !regexp.MustCompile(pattern).MatchString(smoke) {
+			t.Errorf("make trace-smoke lost its %s check (pattern %q) in\n%s", name, pattern, smoke)
 		}
 	}
 }

@@ -202,39 +202,23 @@ func RunE3() (*Result, error) {
 	res.Tables = append(res.Tables, t)
 
 	// Lemma 3 figure: per ring node, the decision and the round at which
-	// its behavior diverges from the matching unanimous base run.
+	// its behavior diverges from the matching unanimous base run, the
+	// chain's link B0 or B1. Ring node i covers triangle node i mod 3.
 	cr := figureSource
 	m := cr.CoverSize
 	k := m / 4
-	cover := graph.RingCoverTriangle(m)
-	base := map[string]*sim.Run{}
-	for _, bit := range []string{"0", "1"} {
-		p := sim.Protocol{Builders: uniformBuilders(tri, weak.NewDetectDefault(3)), Inputs: map[string]sim.Input{}}
-		for _, n := range tri.Names() {
-			p.Inputs[n] = sim.Input(bit)
-		}
-		sys, err := sim.NewSystem(tri, p)
-		if err != nil {
-			return nil, err
-		}
-		run, err := sim.Execute(sys, cr.RunS.Rounds)
-		if err != nil {
-			return nil, err
-		}
-		base[bit] = run
-	}
 	fig := &Series{
 		Title:   fmt.Sprintf("Lemma 3 on the %d-ring (k=%d): decision and divergence round per node", m, k),
 		XLabel:  "ring node",
 		YLabels: []string{"decision", "diverges@round", "dist to boundary"},
 	}
 	for i := 0; i < m; i++ {
-		arc := "0"
+		base := cr.Links[0].Splice.Run
 		if i < 2*k {
-			arc = "1"
+			base = cr.Links[1].Splice.Run
 		}
-		name := cover.S.Name(i)
-		div, err := sim.PrefixEqual(cr.RunS, name, base[arc], cover.G.Name(cover.Phi[i]))
+		name := cr.RunS.G.Name(i)
+		div, err := sim.PrefixEqual(cr.RunS, name, base, tri.Name(i%3))
 		if err != nil {
 			return nil, err
 		}
@@ -355,14 +339,13 @@ func RunE4() (*Result, error) {
 	res.Tables = append(res.Tables, t)
 
 	m := src.CoverSize
-	cover := graph.RingCoverTriangle(m)
 	fig := &Series{
 		Title:   fmt.Sprintf("Fire round per ring node (%d-ring, stimulus on nodes 0..%d)", m, m/2-1),
 		XLabel:  "ring node",
 		YLabels: []string{"fire round (-1 = never)"},
 	}
 	for i := 0; i < m; i++ {
-		d, _ := src.RunS.DecisionOf(cover.S.Name(i))
+		d, _ := src.RunS.DecisionOf(src.RunS.G.Name(i))
 		fire := -1.0
 		if d.Value == firingsquad.Fired {
 			fire = float64(d.Round)
@@ -521,9 +504,8 @@ func RunE6() (*Result, error) {
 		XLabel:  "ring node i",
 		YLabels: []string{"chosen value", "ceiling δ+γ+(i-1)ε", "floor at k (kδ-γ)"},
 	}
-	cover := graph.RingCoverTriangle(size)
 	for i := 1; i <= k; i++ {
-		d, _ := src.RunS.DecisionOf(cover.S.Name(i))
+		d, _ := src.RunS.DecisionOf(src.RunS.G.Name(i))
 		val, _ := sim.DecodeReal(d.Value)
 		fig.X = append(fig.X, float64(i))
 		fl := 0.0

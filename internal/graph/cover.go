@@ -185,56 +185,40 @@ func CyclicCover(g *Graph, cross func(u, v int) bool, m int) *Cover {
 	return &Cover{S: s, G: g, Phi: phi}
 }
 
-// TwoCopyCover builds the generic double covering of g used for both
-// general lower bounds in the paper: CyclicCover with two copies.
-func TwoCopyCover(g *Graph, cross func(u, v int) bool) *Cover {
-	return CyclicCover(g, cross, 2)
-}
-
-// PartitionCover builds the covering for the general n <= 3f node bound
-// (Section 3.1): the nodes of g are partitioned into three non-empty
-// blocks a, b, c (each of size <= f in the proof), and the edges between
-// the a-block and the c-block are crossed between the two copies. The
-// resulting hexagon-of-blocks u,v,w,x,y,z structure is exactly the
-// paper's figure.
-func PartitionCover(g *Graph, a, b, c []int) (*Cover, error) {
+// Partition checks the block partition of the node-bound proofs
+// (Sections 3.1 and 4-7): g has n <= 3f nodes, and the blocks a, b, c
+// are non-empty, hold at most f nodes each, are disjoint and in range,
+// and together cover g. It returns each node's block: 0 for a, 1 for b,
+// 2 for c. Crossing the edges between two blocks in a cyclic cover
+// (CyclicCover) gives the paper's hexagon, and ring, of blocks.
+func Partition(g *Graph, f int, a, b, c []int) ([]int, error) {
+	if g.N() > 3*f {
+		return nil, fmt.Errorf("graph: %d nodes > 3f = %d; not inadequate by node count", g.N(), 3*f)
+	}
 	block := make([]int, g.N())
 	for i := range block {
 		block[i] = -1
 	}
-	assign := func(nodes []int, id int) error {
-		if len(nodes) == 0 {
-			return fmt.Errorf("graph: partition block %d is empty", id)
+	for id, nodes := range [][]int{a, b, c} {
+		if len(nodes) == 0 || len(nodes) > f {
+			return nil, fmt.Errorf("graph: partition block %c has %d nodes, want 1 to f=%d", 'a'+id, len(nodes), f)
 		}
 		for _, u := range nodes {
 			if u < 0 || u >= g.N() {
-				return fmt.Errorf("graph: partition node %d out of range", u)
+				return nil, fmt.Errorf("graph: partition node %d out of range", u)
 			}
 			if block[u] != -1 {
-				return fmt.Errorf("graph: node %s in two partition blocks", g.Name(u))
+				return nil, fmt.Errorf("graph: node %s in two partition blocks", g.Name(u))
 			}
 			block[u] = id
 		}
-		return nil
-	}
-	if err := assign(a, 0); err != nil {
-		return nil, err
-	}
-	if err := assign(b, 1); err != nil {
-		return nil, err
-	}
-	if err := assign(c, 2); err != nil {
-		return nil, err
 	}
 	for u, id := range block {
 		if id == -1 {
 			return nil, fmt.Errorf("graph: node %s not covered by the partition", g.Name(u))
 		}
 	}
-	cover := TwoCopyCover(g, func(u, v int) bool {
-		return block[u] == 0 && block[v] == 2
-	})
-	return cover, nil
+	return block, nil
 }
 
 // CutCover builds the covering for the general connectivity bound

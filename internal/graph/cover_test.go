@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -64,12 +65,20 @@ func TestDiamondCoverIsEightCycle(t *testing.T) {
 	}
 }
 
+// partitionCover is the two-copy cover of a block partition with the
+// a-c edges crossed: Section 3.1's hexagon of blocks.
+func partitionCover(t *testing.T, g *Graph, f int, a, b, c []int) *Cover {
+	t.Helper()
+	block, err := Partition(g, f, a, b, c)
+	if err != nil {
+		t.Fatalf("Partition: %v", err)
+	}
+	return CyclicCover(g, func(u, v int) bool { return block[u] == 0 && block[v] == 2 }, 2)
+}
+
 func TestPartitionCoverSingletons(t *testing.T) {
 	g := Triangle()
-	c, err := PartitionCover(g, []int{0}, []int{1}, []int{2})
-	if err != nil {
-		t.Fatalf("PartitionCover: %v", err)
-	}
+	c := partitionCover(t, g, 1, []int{0}, []int{1}, []int{2})
 	if err := c.Verify(); err != nil {
 		t.Fatalf("cover invalid: %v", err)
 	}
@@ -87,10 +96,7 @@ func TestPartitionCoverSingletons(t *testing.T) {
 func TestPartitionCoverGeneral(t *testing.T) {
 	// K6 with f=2: blocks of size 2.
 	g := Complete(6)
-	c, err := PartitionCover(g, []int{0, 1}, []int{2, 3}, []int{4, 5})
-	if err != nil {
-		t.Fatalf("PartitionCover: %v", err)
-	}
+	c := partitionCover(t, g, 2, []int{0, 1}, []int{2, 3}, []int{4, 5})
 	if err := c.Verify(); err != nil {
 		t.Fatalf("cover invalid: %v", err)
 	}
@@ -113,19 +119,35 @@ func TestPartitionCoverGeneral(t *testing.T) {
 	}
 }
 
-func TestPartitionCoverValidation(t *testing.T) {
-	g := Complete(4)
-	if _, err := PartitionCover(g, []int{0}, []int{1}, []int{2}); err == nil {
-		t.Error("incomplete partition accepted")
+// TestPartition: the partition rule of the node-bound proofs rejects
+// an adequate graph and every block that is empty, larger than f,
+// overlapping, out of range or short of covering G.
+func TestPartition(t *testing.T) {
+	k4, k5 := Complete(4), Complete(5)
+	block, err := Partition(k5, 2, []int{0, 1}, []int{2, 3}, []int{4})
+	if err != nil {
+		t.Fatalf("valid partition rejected: %v", err)
 	}
-	if _, err := PartitionCover(g, []int{0, 1}, []int{1, 2}, []int{3}); err == nil {
-		t.Error("overlapping partition accepted")
+	if want := []int{0, 0, 1, 1, 2}; !reflect.DeepEqual(block, want) {
+		t.Errorf("blocks %v, want %v", block, want)
 	}
-	if _, err := PartitionCover(g, nil, []int{0, 1, 2}, []int{3}); err == nil {
-		t.Error("empty block accepted")
-	}
-	if _, err := PartitionCover(g, []int{9}, []int{0, 1, 2}, []int{3}); err == nil {
-		t.Error("out-of-range node accepted")
+	for _, tc := range []struct {
+		name    string
+		g       *Graph
+		f       int
+		a, b, c []int
+	}{
+		{"adequate graph", k4, 1, []int{0}, []int{1}, []int{2, 3}},
+		{"incomplete partition", k4, 2, []int{0}, []int{1}, []int{2}},
+		{"overlapping partition", k4, 2, []int{0, 1}, []int{1, 2}, []int{3}},
+		{"empty block", k4, 3, nil, []int{0, 1, 2}, []int{3}},
+		{"out-of-range node", k4, 3, []int{9}, []int{0, 1, 2}, []int{3}},
+		{"negative node", k4, 3, []int{-1}, []int{0, 1, 2}, []int{3}},
+		{"block larger than f", k5, 2, []int{0, 1, 2}, []int{3}, []int{4}},
+	} {
+		if _, err := Partition(tc.g, tc.f, tc.a, tc.b, tc.c); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -291,14 +313,15 @@ func TestCyclicCutCover(t *testing.T) {
 	}
 }
 
-// Property: TwoCopyCover always yields a valid covering, whatever the
-// crossing predicate.
+// Property: the two-copy CyclicCover, the double covering of both
+// general lower bounds in the paper, always yields a valid covering,
+// whatever the crossing predicate.
 func TestTwoCopyCoverAlwaysValid(t *testing.T) {
 	prop := func(seed int64, mask uint16) bool {
 		g := GNP(6, 0.5, seed)
-		cover := TwoCopyCover(g, func(u, v int) bool {
+		cover := CyclicCover(g, func(u, v int) bool {
 			return mask&(1<<uint((u*6+v)%16)) != 0
-		})
+		}, 2)
 		return cover.Verify() == nil
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
