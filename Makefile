@@ -17,10 +17,13 @@
 # chaos        the CI smoke run: randomized adversaries, pinned seed
 # chaos-async  the adversarial-asynchrony smoke: delay schedules plus
 #              initially-dead faults, pinned to its own seed/trial pair
-# trace-smoke  run E1-E6 under -trace, fold the JSONL with flm stats, and
-#              fail if the summary comes out empty or its chain section
-#              lists fewer than the 13 theorem families of Theorems 1-6 —
-#              the end-to-end check on the observability layer
+# trace-smoke  run E1-E7 under -trace, fold the JSONL with flm stats, and
+#              fail if the summary comes out empty, its chain section
+#              lists fewer than the 13 theorem families of Theorems 1-6,
+#              or it lists other than 20 timedsim.execute spans (E7's
+#              five Theorem 8 proofs, each one covering run and three
+#              Lemma 9 re-executions) — the end-to-end check on the
+#              observability layer
 # trace-diff   the behavioral regression gate: a fresh deterministic E1
 #              trace (cache off, one worker) must diff clean against the
 #              committed reference (-notiming: wall-time shares are
@@ -87,12 +90,14 @@ chaos-async:
 	$(GO) run ./cmd/flm chaos -async -deadset -seed $(ASYNC_CHAOS_SEED) -trials $(ASYNC_CHAOS_TRIALS)
 
 trace-smoke:
-	$(GO) run ./cmd/flm run -trace $(TRACE_FILE) E1 E2 E3 E4 E5 E6 > /dev/null
+	$(GO) run ./cmd/flm run -trace $(TRACE_FILE) E1 E2 E3 E4 E5 E6 E7 > /dev/null
 	$(GO) run ./cmd/flm stats $(TRACE_FILE) | tee $(TRACE_FILE).stats.txt
 	@grep -q "hit rate" $(TRACE_FILE).stats.txt || { echo "trace-smoke: no cache summary in flm stats output" >&2; exit 1; }
 	@grep -q "core.chain.link" $(TRACE_FILE).stats.txt || { echo "trace-smoke: no chain-link spans in flm stats output" >&2; exit 1; }
 	@families=$$(grep -c ' chain(s), ' $(TRACE_FILE).stats.txt); \
 	test "$$families" -eq 13 || { echo "trace-smoke: the chain section lists $$families theorem families, want 13" >&2; exit 1; }
+	@spans=$$(awk '$$1 == "timedsim.execute" { print $$2; exit }' $(TRACE_FILE).stats.txt); \
+	test "$$spans" = 20 || { echo "trace-smoke: flm stats lists '$$spans' timedsim.execute spans, want 20" >&2; exit 1; }
 
 # The fresh trace is produced under the same pinned conditions as the
 # committed reference (caches off, one worker) so every compared family

@@ -28,17 +28,16 @@ type GridDevice struct {
 
 // EvalGrid runs Theorem8 for every (case, device) cell in parallel and
 // returns the results as out[caseIdx][deviceIdx], in the same order the
-// cases and devices were given. The device-independent half of each
-// case's argument — induction length, verified ring cover, the h-iterate
-// table, and the evaluation time hᵏ(t') — is prepared once per case and
-// shared (read-only) by all of that case's device cells, rather than
-// rebuilt per cell.
+// cases and devices were given. Each case's plan — induction length,
+// verified ring cover, scenarios, the h-iterate table, and the evaluation
+// time hᵏ(t') — is built once and shared (read-only) by all of that
+// case's device cells, rather than rebuilt per cell.
 func EvalGrid(cases []GridCase, devices []GridDevice) ([][]*Result, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("clocksync: grid needs at least one device family")
 	}
-	type prepOutcome struct {
-		prep *theorem8Prep
+	type planOutcome struct {
+		plan *plan
 		err  error
 	}
 	sizes := make([]int, len(cases))
@@ -46,15 +45,15 @@ func EvalGrid(cases []GridCase, devices []GridDevice) ([][]*Result, error) {
 		sizes[i] = len(devices)
 	}
 	out, err := sweep.Grouped(sizes,
-		func(c int) prepOutcome {
-			prep, err := prepareTheorem8(cases[c].Params)
-			return prepOutcome{prep: prep, err: err}
+		func(c int) planOutcome {
+			p, err := trianglePlan(cases[c].Params)
+			return planOutcome{plan: p, err: err}
 		},
-		func(c, d int, p prepOutcome) (*Result, error) {
+		func(c, d int, p planOutcome) (*Result, error) {
 			if p.err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", cases[c].Name, devices[d].Name, p.err)
 			}
-			r, err := runTheorem8(p.prep, devices[d].Builders(cases[c].Params))
+			r, err := p.plan.run(devices[d].Builders(cases[c].Params))
 			if err != nil {
 				return nil, fmt.Errorf("%s / %s: %w", cases[c].Name, devices[d].Name, err)
 			}

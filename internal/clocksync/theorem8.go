@@ -38,10 +38,10 @@ func (v Violation) String() string {
 // Result is the outcome of the mechanized Theorem 8 argument.
 type Result struct {
 	Params     Params
-	K          int       // the induction length (ring has K+2 nodes)
+	K          int       // the induction length (the ring has K+2 positions)
 	TSecond    *big.Rat  // t'' = h^K(t'), the evaluation time in ring frame
-	Logical    []float64 // C_i at t'' for every ring node
-	Floors     []float64 // Lemma 11 floors l(q h^{-(i)}(t'')) + (i-1)α forced on C_i
+	Logical    []float64 // C at t'' for every node of the covering ring
+	Floors     []float64 // Lemma 11 floors l(q h^{-(j)}(t'')) + (j-1)α forced on ring position j
 	Violations []Violation
 	Run        *timedsim.Run
 }
@@ -91,41 +91,6 @@ func (p Params) ChooseK() (int, error) {
 // H returns h = p⁻¹ ∘ q, exactly.
 func (p Params) H() clockfn.RatLinear { return p.P.InverseRat().ComposeRat(p.Q) }
 
-// theorem8Prep is everything a Theorem 8 run needs that depends only on
-// the Params, not on the devices: the induction length, the verified ring
-// cover, h = p⁻¹∘q, the table of its inverse iterates, and t”. Grid
-// sweeps (EvalGrid) build one prep per parameter case and share it across
-// every device cell; the prep is read-only during runs, and its
-// rationals are immutable clockfn.Q values.
-type theorem8Prep struct {
-	params  Params
-	k       int
-	cover   *graph.Cover
-	h       clockfn.RatLinear
-	iters   []clockfn.RatLinear // iters[i] = h⁻ⁱ, i = 0..k+1
-	tSecond clockfn.Q           // t'' = hᵏ(t')
-}
-
-// prepareTheorem8 does the device-independent setup of the Theorem 8
-// argument. Ring construction, cover verification, and the O(k) iterate
-// table replace the O(k²) per-scenario IterateRat calls of the direct
-// formulation.
-func prepareTheorem8(params Params) (*theorem8Prep, error) {
-	k, err := params.ChooseK()
-	if err != nil {
-		return nil, err
-	}
-	size := k + 2
-	cover := graph.RingCoverTriangle(size)
-	if err := cover.Verify(); err != nil {
-		return nil, err
-	}
-	h := params.H()
-	iters := clockfn.Iterates(h, -1, size-1)
-	tSecond := h.IterateRat(k).At(clockfn.FromRat(params.TPrime))
-	return &theorem8Prep{params: params, k: k, cover: cover, h: h, iters: iters, tSecond: tSecond}, nil
-}
-
 // Theorem8 mechanizes the clock synchronization impossibility on the
 // triangle. Devices (keyed by triangle node name a/b/c) are installed on
 // the (k+2)-ring covering with hardware clocks D_i = q∘h⁻ⁱ; the system
@@ -135,86 +100,233 @@ func prepareTheorem8(params Params) (*theorem8Prep, error) {
 // Lemma 11's arithmetic makes them jointly unsatisfiable, so at least one
 // recorded violation is guaranteed for any devices whatsoever.
 func Theorem8(params Params, builders map[string]Builder) (*Result, error) {
-	prep, err := prepareTheorem8(params)
+	p, err := trianglePlan(params)
 	if err != nil {
 		return nil, err
 	}
-	return runTheorem8(prep, builders)
+	return p.run(builders)
 }
 
-// runTheorem8 is the device-dependent half: install the panel on the
-// prepared ring, execute, self-check, and evaluate the conditions. Safe
-// to call concurrently with the same prep.
-func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, error) {
-	params, k, tSecond := prep.params, prep.k, prep.tSecond
-	size := k + 2
-	sys, err := installRing(prep.cover, params, builders, prep.iters)
+// Theorem8Nodes mechanizes the general node bound of Theorem 8: g has
+// n <= 3f nodes, partitioned into blocks a, b, c of at most f nodes each.
+func Theorem8Nodes(params Params, g *graph.Graph, aSet, bSet, cSet []int, f int, builders map[string]Builder) (*Result, error) {
+	p, err := blockRing(params, g, f, aSet, bSet, cSet)
 	if err != nil {
 		return nil, err
 	}
-	// The fastest node experiences q(t'') of hardware time, i.e. about
-	// q(hᵏ(t'))/Δ ticks — exponential in k for rate-scaled clocks. Guard
-	// against parameter choices that would take hours to simulate; a
-	// larger alpha (or tighter envelopes) shrinks k.
-	if est := ticksEstimate(params, tSecond); est > 5e5 {
-		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
-			est, k, tSecond)
-	}
-	run, err := timedsim.Execute(sys, tSecond)
+	return p.run(builders)
+}
+
+// Theorem8Connectivity mechanizes the connectivity bound of Theorem 8:
+// the cut bSet ∪ dSet, each half of at most f nodes, separates uNode
+// from vNode.
+func Theorem8Connectivity(params Params, g *graph.Graph, bSet, dSet []int, uNode, vNode, f int, builders map[string]Builder) (*Result, error) {
+	p, err := cutRing(params, g, f, bSet, dSet, uNode, vNode)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Params:  params,
-		K:       k,
-		TSecond: tSecond.Rat(new(big.Rat)),
-		Logical: append([]float64(nil), run.FinalLogical...),
-		Run:     run,
+	return p.run(builders)
+}
+
+// The general cases of Theorem 8 ("the general case of |G| <= 3f is a
+// simple extension of this argument; the connectivity bound also follows
+// easily") differ from the triangle only in their covering and scenarios:
+//
+//   - Node bound: any graph with n <= 3f nodes, partitioned into blocks
+//     a, b, c of size <= f. The covering is the cyclic ring-of-blocks
+//     (positions ...a_i b_i c_i a_{i+1}...), every node at ring position
+//     j runs hardware clock q∘h⁻ʲ, and each adjacent block pair (j, j+1),
+//     scaled by hʲ, is a correct behavior with clocks q and p and the
+//     third block faulty. The triangle is the case of singleton blocks.
+//
+//   - Connectivity bound: any graph with a cut {b,d} of size <= 2f
+//     separating u from v. The covering is the cyclic ring of copies
+//     with the a-d edges crossed; all nodes of copy i run q∘h⁻ⁱ. The
+//     within-copy scenarios X_i (copy i minus d, scaled by hⁱ: all
+//     clocks q) chain each copy internally, and the cross-copy scenarios
+//     Y_i = c_i ∪ d_i ∪ a_{i-1} (scaled by hⁱ⁻¹: a at q, c∪d at p) climb
+//     the induction one copy per step.
+//
+// Each is a plan, run by one runner: it evaluates the agreement and
+// envelope conditions in every scaled scenario at t'' = hᵏ(t') and relies
+// on the Lemma 11 arithmetic for the guaranteed violation; the first,
+// middle and last scenarios are re-executed as real runs of G with
+// scripted faulty sets (the Lemma 9 self-check).
+
+// plan is one Theorem 8 argument as data, independent of the devices:
+// the covering, each S-node's ring position j (its hardware clock is
+// q∘h⁻ʲ), the scaled scenarios in order, the iterate table and t”.
+// newPlan validates it before anything executes. A plan is read-only
+// once built, so EvalGrid shares one across every device cell of a case;
+// its rationals are immutable clockfn.Q values.
+type plan struct {
+	params    Params
+	k         int
+	cover     *graph.Cover
+	position  []int // position[s] = ring position of S-node s
+	scenarios []scaledScenario
+	iters     []clockfn.RatLinear // iters[i] = h⁻ⁱ, i = 0..k+1
+	tSecond   clockfn.Q           // t'' = hᵏ(t')
+}
+
+// scaledScenario is one correct-behavior claim: the S-nodes in u form,
+// after scaling by h^scale, a correct behavior of G with the remaining
+// G-nodes faulty.
+type scaledScenario struct {
+	name  string
+	u     []int
+	scale int
+}
+
+// newPlan completes a plan, which it accepts only if:
+//   - the cover verifies;
+//   - every scenario is an induced copy of its image with at most f
+//     faulty G-nodes, and each member's position is the scenario's scale
+//     or one more, so that once scaled the member runs at q or p;
+//   - the fastest node's run stays small. It takes about q(t”)/Δ ticks,
+//     exponential in k for rate-scaled clocks; a larger alpha (or
+//     tighter envelopes) shrinks k.
+func newPlan(params Params, k, f int, cover *graph.Cover, position []int, scenarios []scaledScenario) (*plan, error) {
+	if err := cover.Verify(); err != nil {
+		return nil, err
 	}
-	// Lemma 9/Scaling self-check on a sample of scenarios: the scaled
-	// pair must replay as two correct nodes of the triangle.
-	for _, i := range sampleScenarios(k) {
-		if err := checkLemma9(prep.cover, params, builders, prep.iters, run, i, tSecond); err != nil {
-			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed for S%d: %w", i, err)
+	for _, sc := range scenarios {
+		if err := cover.InducedIsomorphic(sc.u); err != nil {
+			return nil, fmt.Errorf("clocksync: %s: %w", sc.name, err)
 		}
-	}
-	// Condition evaluation per scaled scenario.
-	const tol = 1e-9
-	lF := params.L
-	uF := params.U
-	pf, qf := params.P.Float(), params.Q.Float()
-	res.Floors = make([]float64, size)
-	for i := 0; i <= k; i++ {
-		tauF := prep.iters[i].At(tSecond).Float64()
-		scen := fmt.Sprintf("S%d", i)
-		bound := lF.At(qf.At(tauF)) - lF.At(pf.At(tauF)) - params.Alpha
-		gap := res.Logical[i+1] - res.Logical[i]
-		if gap < 0 {
-			gap = -gap
+		if faulty := cover.G.N() - len(sc.u); faulty > f {
+			return nil, fmt.Errorf("clocksync: %s has %d faulty nodes, more than f=%d", sc.name, faulty, f)
 		}
-		if gap > bound+tol {
-			res.Violations = append(res.Violations, Violation{
-				Scenario: scen, Condition: "agreement",
-				Detail: fmt.Sprintf("|C_%d - C_%d| = %.6f > l(q)-l(p)-α = %.6f at scaled time %.6f",
-					i+1, i, gap, bound, tauF),
-			})
-		}
-		loEnv, hiEnv := lF.At(pf.At(tauF)), uF.At(qf.At(tauF))
-		for _, node := range []int{i, i + 1} {
-			c := res.Logical[node]
-			if c < loEnv-tol || c > hiEnv+tol {
-				res.Violations = append(res.Violations, Violation{
-					Scenario: scen, Condition: "envelope",
-					Detail: fmt.Sprintf("C_%d = %.6f outside [l(p)=%.6f, u(q)=%.6f] at scaled time %.6f",
-						node, c, loEnv, hiEnv, tauF),
-				})
+		for _, s := range sc.u {
+			if e := position[s] - sc.scale; e != 0 && e != 1 {
+				return nil, fmt.Errorf("clocksync: %s: %s at position %d, scale %d", sc.name, cover.S.Name(s), position[s], sc.scale)
 			}
 		}
-		if i+1 < size {
-			// Lemma 11: C_{i+1}(t'') >= l(q h^{-(i+1)}(t'')) + i*α, and
-			// q∘h⁻¹ = p, so the floor is l(p(τ_i)) + i*α.
-			res.Floors[i+1] = lF.At(pf.At(tauF)) + float64(i)*params.Alpha
+	}
+	h := params.H()
+	p := &plan{
+		params: params, k: k, cover: cover, position: position, scenarios: scenarios,
+		iters:   clockfn.Iterates(h, -1, k+1),
+		tSecond: h.IterateRat(k).At(clockfn.FromRat(params.TPrime)),
+	}
+	if est := params.Q.At(p.tSecond).Quo(clockfn.FromRat(params.Delta)).Float64(); est > 5e5 {
+		return nil, fmt.Errorf("clocksync: parameters need ~%.0f ticks (k=%d, t''=%s); increase alpha or tighten the envelopes",
+			est, k, p.tSecond)
+	}
+	return p, nil
+}
+
+// trianglePlan is the paper's own Theorem 8 argument: the ring of
+// blocks on the triangle, one node per block and f = 1.
+func trianglePlan(params Params) (*plan, error) {
+	return blockRing(params, graph.Triangle(), 1, []int{0}, []int{1}, []int{2})
+}
+
+// blockRing plans the node bound: k+2 ring positions over (k+2)/3
+// copies of g, the c-a edges crossed so that positions run
+// ...a_i b_i c_i a_(i+1)..., and S_j = positions j and j+1 at scale j.
+func blockRing(params Params, g *graph.Graph, f int, aSet, bSet, cSet []int) (*plan, error) {
+	block, err := graph.Partition(g, f, aSet, bSet, cSet)
+	if err != nil {
+		return nil, err
+	}
+	k, err := params.ChooseK()
+	if err != nil {
+		return nil, err
+	}
+	size, n := k+2, g.N()
+	cover := graph.CyclicCover(g, func(u, v int) bool {
+		return block[u] == 2 && block[v] == 0
+	}, size/3)
+	position := make([]int, cover.S.N())
+	members := make([][]int, size)
+	for s := range position {
+		position[s] = (s/n)*3 + block[s%n]
+		members[position[s]] = append(members[position[s]], s)
+	}
+	scenarios := make([]scaledScenario, k+1)
+	for j := range scenarios {
+		u := append(append([]int(nil), members[j]...), members[j+1]...)
+		scenarios[j] = scaledScenario{name: fmt.Sprintf("S%d", j), u: u, scale: j}
+	}
+	return newPlan(params, k, f, cover, position, scenarios)
+}
+
+// cutRing plans the connectivity bound: k+2 copies of g in a ring, the
+// a-d edges crossed, copy i at position i; the scenarios are X0, then
+// X_i and Y_i for i = 1..k. X_i has the d-nodes faulty and Y_i the
+// b-nodes, so newPlan rejects a cut half of more than f nodes.
+func cutRing(params Params, g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int) (*plan, error) {
+	k, err := params.ChooseK()
+	if err != nil {
+		return nil, err
+	}
+	cover, err := graph.CyclicCutCover(g, bSet, dSet, uNode, vNode, k+2)
+	if err != nil {
+		return nil, err
+	}
+	n := g.N()
+	position := make([]int, cover.S.N())
+	for s := range position {
+		position[s] = s / n
+	}
+	aSet, cSet := graph.CutSets(g, bSet, dSet, uNode)
+	inD := make(map[int]bool, len(dSet))
+	for _, x := range dSet {
+		inD[x] = true
+	}
+	var scenarios []scaledScenario
+	for i := 0; i <= k; i++ {
+		// X_i: copy i without d, scaled by h^i (all clocks q).
+		var x []int
+		for node := 0; node < n; node++ {
+			if !inD[node] {
+				x = append(x, i*n+node)
+			}
 		}
+		scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("X%d", i), u: x, scale: i})
+		if i >= 1 {
+			// Y_i: c_i ∪ d_i ∪ a_{i-1}, scaled by h^(i-1) (a at q, c∪d at p).
+			var y []int
+			for _, node := range cSet {
+				y = append(y, i*n+node)
+			}
+			for _, node := range dSet {
+				y = append(y, i*n+node)
+			}
+			for _, node := range aSet {
+				y = append(y, (i-1)*n+node)
+			}
+			scenarios = append(scenarios, scaledScenario{name: fmt.Sprintf("Y%d", i), u: y, scale: i - 1})
+		}
+	}
+	return newPlan(params, k, f, cover, position, scenarios)
+}
+
+// run is the one move every Theorem 8 proof makes: install the devices
+// and execute S to t”, re-execute the first, middle and last scenarios
+// as real runs of G (the Lemma 9 self-check; all of them would be
+// quadratic in k), evaluate every scenario, and fill in the Lemma 11
+// floors. A proof with no violation contradicts Lemma 11: an engine
+// error. Safe to call concurrently on one plan.
+func (p *plan) run(builders map[string]Builder) (*Result, error) {
+	runS, err := p.execute(builders)
+	if err != nil {
+		return nil, err
+	}
+	for _, sc := range p.selfChecked() {
+		if err := p.lemma9(builders, runS, sc); err != nil {
+			return nil, fmt.Errorf("clocksync: Lemma 9 self-check failed for %s: %w", sc.name, err)
+		}
+	}
+	res := &Result{
+		Params:     p.params,
+		K:          p.k,
+		TSecond:    p.tSecond.Rat(new(big.Rat)),
+		Logical:    append([]float64(nil), runS.FinalLogical...),
+		Floors:     p.floors(),
+		Violations: p.evaluate(runS),
+		Run:        runS,
 	}
 	if !res.Contradicted() {
 		return res, fmt.Errorf("clocksync: no condition violated — impossible by Lemma 11:\n%s", res)
@@ -222,163 +334,172 @@ func runTheorem8(prep *theorem8Prep, builders map[string]Builder) (*Result, erro
 	return res, nil
 }
 
-// sampleScenarios picks the scenarios to re-execute for the Lemma 9
-// self-check (all of them would be quadratic in k; ends and middle
-// suffice to validate the machinery).
-func sampleScenarios(k int) []int {
-	if k <= 2 {
-		out := make([]int, k+1)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return []int{0, k / 2, k}
+// selfChecked are the scenarios the Lemma 9 self-check re-executes: the
+// first, the middle and the last.
+func (p *plan) selfChecked() []scaledScenario {
+	n := len(p.scenarios)
+	return []scaledScenario{p.scenarios[0], p.scenarios[(n-1)/2], p.scenarios[n-1]}
 }
 
-// installRing builds the timed system on the ring cover: node i runs the
-// device of its triangle image (renamed) with hardware clock q∘h⁻ⁱ,
-// taken from the prepared iterate table (iters[i] = h⁻ⁱ). The cover was
-// verified by prepareTheorem8.
-func installRing(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear) (*timedsim.System, error) {
-	s, g := cover.S, cover.G
+// execute installs the devices on the cover and runs S to t”: S-node s
+// runs the device of its image, renamed, with hardware clock
+// q∘h^-position[s].
+func (p *plan) execute(builders map[string]Builder) (*timedsim.Run, error) {
+	s, g := p.cover.S, p.cover.G
 	nodes := make([]timedsim.Node, s.N())
-	for i := 0; i < s.N(); i++ {
-		gName := g.Name(cover.Phi[i])
+	for i := range nodes {
+		gName := g.Name(p.cover.Phi[i])
 		b, ok := builders[gName]
 		if !ok {
-			return nil, fmt.Errorf("clocksync: no builder for triangle node %q", gName)
+			return nil, fmt.Errorf("clocksync: no builder for G-node %q", gName)
 		}
 		toG := make(map[string]string, s.Degree(i))
 		toS := make(map[string]string, s.Degree(i))
 		for _, nb := range s.Neighbors(i) {
-			toG[s.Name(nb)] = g.Name(cover.Phi[nb])
-			toS[g.Name(cover.Phi[nb])] = s.Name(nb)
+			toG[s.Name(nb)] = g.Name(p.cover.Phi[nb])
+			toS[g.Name(p.cover.Phi[nb])] = s.Name(nb)
 		}
-		gNeighbors := make([]string, 0, len(toS))
-		for gNb := range toS {
-			gNeighbors = append(gNeighbors, gNb)
-		}
-		sort.Strings(gNeighbors)
-		inner := b(gName, gNeighbors)
-		inner.Init(gName, gNeighbors)
+		inner := newDevice(b, g, p.cover.Phi[i])
 		nodes[i] = timedsim.Node{
 			Device: timedsim.Renamed(inner, toG, toS),
-			Clock:  params.Q.ComposeRat(iters[i]),
+			Clock:  p.params.Q.ComposeRat(p.iters[p.position[i]]),
 		}
 	}
-	return &timedsim.System{G: s, Nodes: nodes, Delta: params.Delta}, nil
+	return timedsim.Execute(&timedsim.System{G: s, Nodes: nodes, Delta: p.params.Delta}, p.tSecond)
 }
 
-func sortedStrings(s []string) []string {
-	out := append([]string(nil), s...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+// newDevice builds and initializes b's device for node u of g.
+func newDevice(b Builder, g *graph.Graph, u int) timedsim.Device {
+	name := g.Name(u)
+	neighbors := make([]string, 0, g.Degree(u))
+	for _, v := range g.Neighbors(u) {
+		neighbors = append(neighbors, g.Name(v))
 	}
-	return out
+	sort.Strings(neighbors)
+	dev := b(name, neighbors)
+	dev.Init(name, neighbors)
+	return dev
 }
 
-// checkLemma9 re-executes scenario S_i scaled by hⁱ as an actual triangle
-// run: the images of nodes i and i+1 run their devices with clocks q and
-// p, the third triangle node replays the scaled border traffic, and the
-// tick sequences must match the ring's exactly (times scaled by h⁻ⁱ,
-// hardware readings and snapshots identical). This validates the
-// Scaling, Locality, and Fault axioms on the actual run.
-func checkLemma9(cover *graph.Cover, params Params, builders map[string]Builder, iters []clockfn.RatLinear, ringRun *timedsim.Run, i int, tSecond clockfn.Q) error {
-	s, g := cover.S, cover.G
-	size := s.N()
-	scale := iters[i]
-	gi, gj := g.Name(cover.Phi[i]), g.Name(cover.Phi[(i+1)%size])
-	third := otherTriangleNode(gi, gj)
-
-	// Scripted border traffic: messages into i from i-1 (played as
-	// third->gi) and into i+1 from i+2 (played as third->gj), times
-	// scaled by h^{-i}. Each edge's sends are already time-ordered and
-	// scaling preserves order, so a merge replaces the full sort.
-	var intoGi, intoGj []timedsim.ScriptedSend
-	prev, next := (i-1+size)%size, (i+2)%size
-	for _, rec := range ringRun.Sends[graph.Edge{From: s.Name(prev), To: s.Name(i)}] {
-		intoGi = append(intoGi, timedsim.ScriptedSend{At: scale.At(rec.At), To: gi, Payload: rec.Payload})
+// lemma9 re-executes one scenario, scaled by h^scale, as a real run of
+// G: each member runs its image's device with hardware clock
+// q∘h^-(position-scale), that is q or p, and every other G-node replays,
+// as a scripted faulty sender, the scaled traffic its preimages sent
+// into the scenario on S. Each member's ticks must match S's exactly: the
+// scaled time, the hardware reading and the snapshot. This checks the
+// Scaling, Locality and Fault axioms on the actual run.
+func (p *plan) lemma9(builders map[string]Builder, runS *timedsim.Run, sc scaledScenario) error {
+	s, g := p.cover.S, p.cover.G
+	scale := p.iters[sc.scale]
+	correct := make(map[int]int, len(sc.u)) // G-node -> S preimage
+	for _, sn := range sc.u {
+		correct[p.cover.Phi[sn]] = sn
 	}
-	for _, rec := range ringRun.Sends[graph.Edge{From: s.Name(next), To: s.Name((i + 1) % size)}] {
-		intoGj = append(intoGj, timedsim.ScriptedSend{At: scale.At(rec.At), To: gj, Payload: rec.Payload})
-	}
-	script := mergeScript(intoGi, intoGj)
-
-	tri := graph.Triangle()
-	nodes := make([]timedsim.Node, 3)
-	for idx := 0; idx < 3; idx++ {
-		name := tri.Name(idx)
-		switch name {
-		case gi:
-			dev := builders[name](name, triNeighbors(tri, name))
-			dev.Init(name, triNeighbors(tri, name))
-			nodes[idx] = timedsim.Node{Device: dev, Clock: params.Q}
-		case gj:
-			dev := builders[name](name, triNeighbors(tri, name))
-			dev.Init(name, triNeighbors(tri, name))
-			nodes[idx] = timedsim.Node{Device: dev, Clock: params.P}
-		case third:
-			nodes[idx] = timedsim.Node{Script: script, Clock: params.Q}
+	nodes := make([]timedsim.Node, g.N())
+	for gn := range nodes {
+		if sn, ok := correct[gn]; ok {
+			nodes[gn] = timedsim.Node{
+				Device: newDevice(builders[g.Name(gn)], g, gn),
+				Clock:  p.params.Q.ComposeRat(p.iters[p.position[sn]-sc.scale]),
+			}
+			continue
 		}
+		// Per-edge send lists are time-ordered and scaling preserves
+		// order, so fold-merging them reproduces the stable sort of
+		// their concatenation.
+		var script []timedsim.ScriptedSend
+		for _, gv := range g.Neighbors(gn) {
+			sn, ok := correct[gv]
+			if !ok {
+				continue
+			}
+			pre := p.cover.EdgePreimage(sn, gn)
+			recs := runS.Sends[graph.Edge{From: s.Name(pre), To: s.Name(sn)}]
+			edge := make([]timedsim.ScriptedSend, len(recs))
+			for i, rec := range recs {
+				edge[i] = timedsim.ScriptedSend{At: scale.At(rec.At), To: g.Name(gv), Payload: rec.Payload}
+			}
+			script = mergeScript(script, edge)
+		}
+		nodes[gn] = timedsim.Node{Script: script, Clock: p.params.Q}
 	}
-	until := scale.At(tSecond)
-	triRun, err := timedsim.Execute(&timedsim.System{G: tri, Nodes: nodes, Delta: params.Delta}, until)
+	runG, err := timedsim.Execute(&timedsim.System{G: g, Nodes: nodes, Delta: p.params.Delta}, scale.At(p.tSecond))
 	if err != nil {
 		return err
 	}
-	// Compare tick sequences: ring node i vs triangle gi, ring i+1 vs gj.
-	pairs := []struct {
-		ringNode int
-		gName    string
-	}{{i, gi}, {(i + 1) % size, gj}}
-	for _, pair := range pairs {
-		ringTicks := ringRun.Ticks[pair.ringNode]
-		triTicks, err := triRun.TicksOf(pair.gName)
-		if err != nil {
-			return err
+	for _, sn := range sc.u {
+		name := s.Name(sn)
+		sTicks, gTicks := runS.Ticks[sn], runG.Ticks[p.cover.Phi[sn]]
+		if len(sTicks) != len(gTicks) {
+			return fmt.Errorf("node %s: %d covering ticks vs %d in G", name, len(sTicks), len(gTicks))
 		}
-		if len(ringTicks) != len(triTicks) {
-			return fmt.Errorf("node %s: %d ring ticks vs %d triangle ticks",
-				pair.gName, len(ringTicks), len(triTicks))
-		}
-		for j := range ringTicks {
-			rt, tt := ringTicks[j], triTicks[j]
-			if scaled := scale.At(rt.Time); scaled.Cmp(tt.Time) != 0 {
-				return fmt.Errorf("node %s tick %d: scaled time %s != %s",
-					pair.gName, j, scaled, tt.Time)
+		for j, st := range sTicks {
+			gt := gTicks[j]
+			if scaled := scale.At(st.Time); scaled.Cmp(gt.Time) != 0 {
+				return fmt.Errorf("node %s tick %d: scaled time %s != %s", name, j, scaled, gt.Time)
 			}
-			if rt.HW.Cmp(tt.HW) != 0 {
-				return fmt.Errorf("node %s tick %d: hw %s != %s",
-					pair.gName, j, rt.HW, tt.HW)
+			if st.HW.Cmp(gt.HW) != 0 {
+				return fmt.Errorf("node %s tick %d: hw %s != %s", name, j, st.HW, gt.HW)
 			}
-			if rt.Snapshot != tt.Snapshot {
-				return fmt.Errorf("node %s tick %d: snapshots differ: %q vs %q",
-					pair.gName, j, rt.Snapshot, tt.Snapshot)
+			if st.Snapshot != gt.Snapshot {
+				return fmt.Errorf("node %s tick %d: snapshots differ: %q vs %q", name, j, st.Snapshot, gt.Snapshot)
 			}
 		}
 	}
 	return nil
 }
 
-func otherTriangleNode(a, b string) string {
-	for _, n := range []string{"a", "b", "c"} {
-		if n != a && n != b {
-			return n
+// evaluate applies the agreement and envelope conditions to every
+// scenario at its scaled time h^-scale(t”) and lists the broken ones:
+// for each member in order, its envelope, then its agreement with each
+// later member.
+func (p *plan) evaluate(runS *timedsim.Run) []Violation {
+	const tol = 1e-9
+	params := p.params
+	pf, qf := params.P.Float(), params.Q.Float()
+	var violations []Violation
+	for _, sc := range p.scenarios {
+		tauF := p.iters[sc.scale].At(p.tSecond).Float64()
+		bound := params.L.At(qf.At(tauF)) - params.L.At(pf.At(tauF)) - params.Alpha
+		loEnv, hiEnv := params.L.At(pf.At(tauF)), params.U.At(qf.At(tauF))
+		for ai, a := range sc.u {
+			ca := runS.FinalLogical[a]
+			if ca < loEnv-tol || ca > hiEnv+tol {
+				violations = append(violations, Violation{
+					Scenario: sc.name, Condition: "envelope",
+					Detail: fmt.Sprintf("C(%s) = %.6f outside [%.6f, %.6f] at scaled time %.6f",
+						runS.G.Name(a), ca, loEnv, hiEnv, tauF),
+				})
+			}
+			for _, b := range sc.u[ai+1:] {
+				gap := ca - runS.FinalLogical[b]
+				if gap < 0 {
+					gap = -gap
+				}
+				if gap > bound+tol {
+					violations = append(violations, Violation{
+						Scenario: sc.name, Condition: "agreement",
+						Detail: fmt.Sprintf("|C(%s) - C(%s)| = %.6f > %.6f at scaled time %.6f",
+							runS.G.Name(a), runS.G.Name(b), gap, bound, tauF),
+					})
+				}
+			}
 		}
 	}
-	return ""
+	return violations
 }
 
-func triNeighbors(tri *graph.Graph, name string) []string {
-	var out []string
-	u := tri.MustIndex(name)
-	for _, v := range tri.Neighbors(u) {
-		out = append(out, tri.Name(v))
+// floors are Lemma 11's floors, one per ring position: C_j(t”) >=
+// l(q h⁻ʲ(t”)) + (j-1)α for j >= 1, and q∘h⁻¹ = p, so the floor is
+// l(p(h^-(j-1)(t”))) + (j-1)α. Position 0 has none.
+func (p *plan) floors() []float64 {
+	pf := p.params.P.Float()
+	floors := make([]float64, p.k+2)
+	for j := 1; j < len(floors); j++ {
+		tauF := p.iters[j-1].At(p.tSecond).Float64()
+		floors[j] = p.params.L.At(pf.At(tauF)) + float64(j-1)*p.params.Alpha
 	}
-	return sortedStrings(out)
+	return floors
 }
 
 // mergeScript merges two time-sorted script fragments into one sorted

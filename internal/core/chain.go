@@ -316,20 +316,3 @@ func concat(parts ...[]int) []int {
 func blockCover(g *graph.Graph, block []int, from, to, m int) *graph.Cover {
 	return graph.CyclicCover(g, func(u, v int) bool { return block[u] == from && block[v] == to }, m)
 }
-
-// cutSets returns the a-set (the component of uNode once the cut b∪d
-// is removed) and the c-set (every other node outside the cut).
-func cutSets(g *graph.Graph, bSet, dSet []int, uNode int) (aSet, cSet []int) {
-	removed := concat(bSet, dSet)
-	aSet = g.ComponentWithout(removed, uNode)
-	inAorCut := make(map[int]bool, g.N())
-	for _, x := range concat(aSet, removed) {
-		inAorCut[x] = true
-	}
-	for x := 0; x < g.N(); x++ {
-		if !inAorCut[x] {
-			cSet = append(cSet, x)
-		}
-	}
-	return aSet, cSet
-}

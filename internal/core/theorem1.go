@@ -63,7 +63,7 @@ func cutCover(g *graph.Graph, f int, bSet, dSet []int, uNode, vNode int) (twoCop
 	if err != nil {
 		return twoCopy{}, err
 	}
-	aSet, cSet := cutSets(g, bSet, dSet, uNode)
+	aSet, cSet := graph.CutSets(g, bSet, dSet, uNode)
 	n := g.N()
 	return twoCopy{cover, [3][]int{
 		concat(aSet, bSet, cSet),

@@ -124,7 +124,7 @@ func cutRing(g *graph.Graph, bSet, dSet []int, uNode, vNode int) func(t int) (ri
 //	                                   two neighboring copies)
 //	Y_i = c∪d of copy i, a of copy i-1  (b faulty)
 func cutScenarios(g *graph.Graph, bSet, dSet []int, uNode, m int) [][]int {
-	aSet, cSet := cutSets(g, bSet, dSet, uNode)
+	aSet, cSet := graph.CutSets(g, bSet, dSet, uNode)
 	inD := make(map[int]bool, len(dSet))
 	for _, x := range dSet {
 		inD[x] = true

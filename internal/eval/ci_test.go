@@ -129,9 +129,10 @@ func TestMakefileChaosDefaultsPinned(t *testing.T) {
 // TestCIObservabilitySmokePinned: the workflow's trace-smoke job runs
 // both observability legs — the stats summary and the trace-diff
 // regression gate — so neither can be dropped without this test
-// noticing; and the summary leg traces E1-E6 and requires the chain
-// section to list all 13 theorem families of Theorems 1-6, so the link
-// spans of no theorem can vanish unnoticed.
+// noticing; and the summary leg traces E1-E7, requires the chain section
+// to list all 13 theorem families of Theorems 1-6, so the link spans of
+// no theorem can vanish unnoticed, and requires exactly 20
+// timedsim.execute spans, so E7's timed executions are seen too.
 func TestCIObservabilitySmokePinned(t *testing.T) {
 	data, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
@@ -148,9 +149,11 @@ func TestCIObservabilitySmokePinned(t *testing.T) {
 	}
 	smoke := recipe(t, string(makefile), "trace-smoke")
 	for name, pattern := range map[string]string{
-		"E1-E6 traced":       `flm run -trace \$\(TRACE_FILE\) E1 E2 E3 E4 E5 E6 `,
+		"E1-E7 traced":       `flm run -trace \$\(TRACE_FILE\) E1 E2 E3 E4 E5 E6 E7 `,
 		"family count":       `grep -c ' chain\(s\), ' \$\(TRACE_FILE\)\.stats\.txt`,
 		"13 families or die": `test "\$\$families" -eq 13 \|\| \{.*exit 1; \}`,
+		"timed span count":   `awk '\$\$1 == "timedsim\.execute" \{ print \$\$2; exit \}' \$\(TRACE_FILE\)\.stats\.txt`,
+		"20 spans or die":    `test "\$\$spans" = 20 \|\| \{.*exit 1; \}`,
 	} {
 		if !regexp.MustCompile(pattern).MatchString(smoke) {
 			t.Errorf("make trace-smoke lost its %s check (pattern %q) in\n%s", name, pattern, smoke)

@@ -221,6 +221,27 @@ func Partition(g *Graph, f int, a, b, c []int) ([]int, error) {
 	return block, nil
 }
 
+// CutSets returns the two sides of the cut b ∪ d that the connectivity
+// proofs use: the a-set, the component of u once the cut is removed, and
+// the c-set, every other node outside the cut. Both are sorted.
+func CutSets(g *Graph, b, d []int, u int) (a, c []int) {
+	removed := append(append([]int(nil), b...), d...)
+	a = g.ComponentWithout(removed, u)
+	inAOrCut := make([]bool, g.N())
+	for _, x := range a {
+		inAOrCut[x] = true
+	}
+	for _, x := range removed {
+		inAOrCut[x] = true
+	}
+	for x, in := range inAOrCut {
+		if !in {
+			c = append(c, x)
+		}
+	}
+	return a, c
+}
+
 // CutCover builds the covering for the general connectivity bound
 // (Section 3.2): b and d are disjoint node sets (each of size <= f in the
 // proof) whose removal disconnects u from v; the edges between the

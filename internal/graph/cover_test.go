@@ -171,6 +171,21 @@ func TestCutCoverValidation(t *testing.T) {
 	}
 }
 
+func TestCutSets(t *testing.T) {
+	// On the diamond, the cut {b} ∪ {d} leaves a on u's side and c on
+	// the other.
+	a, c := CutSets(Diamond(), []int{1}, []int{3}, 0)
+	if !reflect.DeepEqual(a, []int{0}) || !reflect.DeepEqual(c, []int{2}) {
+		t.Errorf("diamond: a = %v, c = %v, want [0] and [2]", a, c)
+	}
+	// Circulant(10, 1, 2) cut at {1,9} ∪ {2,8}: 0 is alone on its side,
+	// and 3..7 form the other.
+	a, c = CutSets(Circulant(10, 1, 2), []int{1, 9}, []int{2, 8}, 0)
+	if !reflect.DeepEqual(a, []int{0}) || !reflect.DeepEqual(c, []int{3, 4, 5, 6, 7}) {
+		t.Errorf("circulant: a = %v, c = %v, want [0] and [3 4 5 6 7]", a, c)
+	}
+}
+
 func TestCutCoverOnLargerGraph(t *testing.T) {
 	// Circulant(10, 1, 2) has connectivity 4; the cut {1,2,8,9}
 	// separates node 0 from node 5. Split it as b={1,9}, d={2,8}.

@@ -295,11 +295,7 @@ func execute(sys *System, until clockfn.Q) (*Run, error) {
 				}
 			}
 			pending[u] = rest
-			for i := 1; i < len(inbox); i++ {
-				for j := i; j > 0 && msgLess(&inbox[j], &inbox[j-1]); j-- {
-					inbox[j], inbox[j-1] = inbox[j-1], inbox[j]
-				}
-			}
+			sortInbox(inbox)
 			inboxBuf = inbox[:0]
 			sends := node.Device.Tick(k, hw, inbox)
 			for _, snd := range sends {
@@ -349,6 +345,16 @@ func execute(sys *System, until clockfn.Q) (*Run, error) {
 	return run, nil
 }
 
+// sortInbox sorts an inbox into msgLess order in place: a stable
+// insertion sort, which allocates nothing.
+func sortInbox(inbox []Message) {
+	for i := 1; i < len(inbox); i++ {
+		for j := i; j > 0 && msgLess(&inbox[j], &inbox[j-1]); j-- {
+			inbox[j], inbox[j-1] = inbox[j-1], inbox[j]
+		}
+	}
+}
+
 // msgLess is the deterministic inbox order: send time, then sender, then
 // payload.
 func msgLess(a, b *Message) bool {
@@ -391,8 +397,11 @@ func (r *Run) LogicalOf(name string) (float64, error) {
 
 // renamedDevice adapts a device built for a node of G to run at a node of
 // a covering graph S, translating neighbor names both ways (the timed
-// counterpart of the synchronous renamer). The translation buffers are
-// reused between ticks under the Device ownership contract.
+// counterpart of the synchronous renamer). It hands the device each
+// inbox in G order, sorted by G-names as the executor sorts the inbox of
+// the device's image in G, however the cover's S-names sort; Locality
+// then holds for devices that read their inbox in order. The translation
+// buffers are reused between ticks under the Device ownership contract.
 type renamedDevice struct {
 	inner  Device
 	toG    map[string]string
@@ -419,6 +428,9 @@ func (d *renamedDevice) Tick(k int, hw clockfn.Q, inbox []Message) []Send {
 			gInbox = append(gInbox, Message{From: gFrom, Payload: m.Payload, SentAt: m.SentAt})
 		}
 	}
+	// The inbox arrives sorted under S-names; messages sent at one
+	// instant may sort the other way under G-names.
+	sortInbox(gInbox)
 	d.gInbox = gInbox
 	sends := d.inner.Tick(k, hw, gInbox)
 	out := d.out[:0]

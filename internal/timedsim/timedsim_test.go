@@ -359,3 +359,20 @@ func TestRenamedDeviceTranslates(t *testing.T) {
 		t.Errorf("inner heard %s, want [gn:x]", inner.Snapshot())
 	}
 }
+
+// TestRenamedDeviceSortsInGOrder: the renamed device hands its device
+// the inbox in the order the executor gives the device's image in G,
+// even where two S-senders sort opposite to their G-images.
+func TestRenamedDeviceSortsInGOrder(t *testing.T) {
+	inner := &beacon{}
+	inner.Init("g", []string{"a", "b"})
+	d := Renamed(inner, map[string]string{"p": "b", "q": "a"}, map[string]string{"a": "q", "b": "p"})
+	d.Tick(1, rat(1, 1), []Message{ // the executor's order under S-names
+		{From: "p", Payload: "x", SentAt: rat(0, 1)},
+		{From: "q", Payload: "y", SentAt: rat(0, 1)},
+		{From: "p", Payload: "z", SentAt: rat(1, 2)},
+	})
+	if got, want := inner.Snapshot(), "[a:y b:x b:z]"; got != want {
+		t.Errorf("inner heard %s, want %s", got, want)
+	}
+}
