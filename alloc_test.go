@@ -36,6 +36,7 @@ var allocCanaries = []struct {
 	{"async-sched", 17207, 891739, asyncSched},
 	{"cache-evict", 58525, 3214437, cacheEvict},
 	{"splice-record", 58539, 10117430, spliceRecord},
+	{"dolev-overlay", 811, 90896, dolevOverlay()},
 }
 
 // TestAllocCanaries fails when a workload allocates more objects or bytes
@@ -256,6 +257,39 @@ func spliceRecord() error {
 		return fmt.Errorf("splice-record bench: expected a Theorem 4 violation")
 	}
 	return nil
+}
+
+// dolevOverlay isolates the Dolev overlay's wire: one decision-only EIG
+// trial over the router on Wheel(7) with an equivocating rim node, where
+// nearly every allocation is a piece being parsed, routed or framed. The
+// router is built once, outside the measured run.
+func dolevOverlay() func() error {
+	g := flm.Wheel(7)
+	r, err := flm.NewRouter(g, 1)
+	if err != nil {
+		return func() error { return err }
+	}
+	honest := flm.Overlay(r, flm.NewEIG(1, g.Names()))
+	inputs := map[string]flm.Input{}
+	for i, name := range g.Names() {
+		inputs[name] = flm.BoolInput(0x36&(1<<uint(i)) != 0)
+	}
+	trial := flm.ByzantineTrial{
+		G: g, Inputs: inputs, Honest: honest,
+		Faulty: map[string]flm.Builder{"w5": flm.Equivocate(honest, flm.BoolInput(false), flm.BoolInput(true),
+			func(nb string) bool { return nb < "w3" })},
+		Rounds: r.Rounds(flm.EIGRounds(1)),
+	}
+	return func() error {
+		_, _, rep, err := trial.RunWith(flm.ExecuteOpts{})
+		if err != nil {
+			return err
+		}
+		if !rep.OK() {
+			return fmt.Errorf("dolev overlay bench: trial failed: %v", rep.Err())
+		}
+		return nil
+	}
 }
 
 // cacheEvict isolates the run cache's L1 bookkeeping under eviction

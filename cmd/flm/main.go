@@ -36,39 +36,42 @@ func main() {
 			}
 		}
 	}
-	os.Exit(run(args, os.Stdout))
+	os.Exit(run(args, os.Stdout, os.Stderr))
 }
 
-func run(args []string, out io.Writer) int {
+// run executes one command. Its output goes to out, and every failure
+// and usage error to errOut, so a caller that discards the output still
+// sees why a command failed.
+func run(args []string, out, errOut io.Writer) int {
 	if len(args) == 0 {
-		usage(out)
+		usage(errOut)
 		return 2
 	}
 	switch args[0] {
 	case "list":
 		return cmdList(out)
 	case "run":
-		return cmdRun(args[1:], out)
+		return cmdRun(args[1:], out, errOut)
 	case "all":
-		return cmdAll(args[1:], out)
+		return cmdAll(args[1:], out, errOut)
 	case "adequacy":
-		return cmdAdequacy(args[1:], out)
+		return cmdAdequacy(args[1:], out, errOut)
 	case "prove":
-		return cmdProve(args[1:], out)
+		return cmdProve(args[1:], out, errOut)
 	case "dot":
-		return cmdDot(args[1:], out)
+		return cmdDot(args[1:], out, errOut)
 	case "trace":
-		return cmdTrace(args[1:], out)
+		return cmdTrace(args[1:], out, errOut)
 	case "chaos":
-		return cmdChaos(args[1:], out)
+		return cmdChaos(args[1:], out, errOut)
 	case "stats":
-		return cmdStats(args[1:], out)
+		return cmdStats(args[1:], out, errOut)
 	case "help", "-h", "--help":
 		usage(out)
 		return 0
 	default:
-		fmt.Fprintf(out, "unknown command %q\n", args[0])
-		usage(out)
+		fmt.Fprintf(errOut, "unknown command %q\n", args[0])
+		usage(errOut)
 		return 2
 	}
 }
@@ -121,9 +124,9 @@ dir; set to "off" to disable). Every command uses the disk tier.
 FLM_RUNCACHE=off disables caching entirely.`)
 }
 
-func cmdDot(args []string, out io.Writer) int {
+func cmdDot(args []string, out, errOut io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(out, "dot: usage: flm dot hex|diamond|ring [m]")
+		fmt.Fprintln(errOut, "dot: usage: flm dot hex|diamond|ring [m]")
 		return 2
 	}
 	var cover *flm.Cover
@@ -137,23 +140,23 @@ func cmdDot(args []string, out io.Writer) int {
 		if len(args) > 1 {
 			parsed, err := strconv.Atoi(args[1])
 			if err != nil || parsed < 3 || parsed%3 != 0 {
-				fmt.Fprintln(out, "dot: ring size must be a positive multiple of 3")
+				fmt.Fprintln(errOut, "dot: ring size must be a positive multiple of 3")
 				return 2
 			}
 			m = parsed
 		}
 		cover = flm.RingCoverTriangle(m)
 	default:
-		fmt.Fprintf(out, "dot: unknown cover %q (have: hex, diamond, ring)\n", args[0])
+		fmt.Fprintf(errOut, "dot: unknown cover %q (have: hex, diamond, ring)\n", args[0])
 		return 2
 	}
 	fmt.Fprint(out, cover.DOT(args[0]))
 	return 0
 }
 
-func cmdTrace(args []string, out io.Writer) int {
+func cmdTrace(args []string, out, errOut io.Writer) int {
 	if len(args) != 1 {
-		fmt.Fprintln(out, "trace: usage: flm trace <device>  (majority|eig|phase-king) — prints the covering run's traffic trace; for an instrumentation trace use -trace on run/all/prove/chaos")
+		fmt.Fprintln(errOut, "trace: usage: flm trace <device>  (majority|eig|phase-king) — prints the covering run's traffic trace; for an instrumentation trace use -trace on run/all/prove/chaos")
 		return 2
 	}
 	tri := flm.Triangle()
@@ -165,7 +168,7 @@ func cmdTrace(args []string, out io.Writer) int {
 	}
 	builder, ok := devices[args[0]]
 	if !ok {
-		fmt.Fprintf(out, "trace: unknown device %q (have: majority, eig, phase-king)\n", args[0])
+		fmt.Fprintf(errOut, "trace: unknown device %q (have: majority, eig, phase-king)\n", args[0])
 		return 2
 	}
 	builders := map[string]flm.Builder{}
@@ -179,12 +182,12 @@ func cmdTrace(args []string, out io.Writer) int {
 	}
 	inst, err := flm.InstallCover(cover, builders, inputs)
 	if err != nil {
-		fmt.Fprintf(out, "trace: %v\n", err)
+		fmt.Fprintf(errOut, "trace: %v\n", err)
 		return 1
 	}
 	run, err := inst.Execute(6)
 	if err != nil {
-		fmt.Fprintf(out, "trace: %v\n", err)
+		fmt.Fprintf(errOut, "trace: %v\n", err)
 		return 1
 	}
 	st := flm.CollectStats(run)
@@ -201,33 +204,33 @@ func cmdList(out io.Writer) int {
 	return 0
 }
 
-func cmdRun(args []string, out io.Writer) int {
+func cmdRun(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	fs.SetOutput(out)
+	fs.SetOutput(errOut)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	ids := fs.Args()
 	if len(ids) == 0 {
-		fmt.Fprintln(out, "run: need at least one experiment ID: flm run [-trace file.jsonl] <id> [<id>...]")
+		fmt.Fprintln(errOut, "run: need at least one experiment ID: flm run [-trace file.jsonl] <id> [<id>...]")
 		return 2
 	}
-	stop, err := startTrace(traceTarget(*tracePath), out)
+	stop, err := startTrace(traceTarget(*tracePath), errOut)
 	if err != nil {
-		fmt.Fprintf(out, "run: %v\n", err)
+		fmt.Fprintf(errOut, "run: %v\n", err)
 		return 1
 	}
 	defer stop()
 	for _, id := range ids {
 		e, ok := flm.FindExperiment(strings.ToUpper(id))
 		if !ok {
-			fmt.Fprintf(out, "no experiment %q (try: flm list)\n", id)
+			fmt.Fprintf(errOut, "no experiment %q (try: flm list)\n", id)
 			return 2
 		}
 		res, err := runExperiment(e)
 		if err != nil {
-			fmt.Fprintf(out, "%s failed: %v\n", e.ID, err)
+			fmt.Fprintf(errOut, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
 		fmt.Fprintln(out, res.Render())
@@ -235,11 +238,11 @@ func cmdRun(args []string, out io.Writer) int {
 	return 0
 }
 
-func cmdAll(args []string, out io.Writer) int {
+func cmdAll(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	outPath := fs.String("o", "", "also write the report to this file")
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	fs.SetOutput(out)
+	fs.SetOutput(errOut)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -247,22 +250,22 @@ func cmdAll(args []string, out io.Writer) int {
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintf(out, "create %s: %v\n", *outPath, err)
+			fmt.Fprintf(errOut, "create %s: %v\n", *outPath, err)
 			return 1
 		}
 		defer f.Close()
 		sink = io.MultiWriter(out, f)
 	}
-	stop, err := startTrace(traceTarget(*tracePath), out)
+	stop, err := startTrace(traceTarget(*tracePath), errOut)
 	if err != nil {
-		fmt.Fprintf(out, "all: %v\n", err)
+		fmt.Fprintf(errOut, "all: %v\n", err)
 		return 1
 	}
 	defer stop()
 	for _, e := range flm.Experiments() {
 		res, err := runExperiment(e)
 		if err != nil {
-			fmt.Fprintf(sink, "%s FAILED: %v\n", e.ID, err)
+			fmt.Fprintf(errOut, "%s FAILED: %v\n", e.ID, err)
 			return 1
 		}
 		fmt.Fprintln(sink, res.Render())
@@ -270,15 +273,15 @@ func cmdAll(args []string, out io.Writer) int {
 	return 0
 }
 
-func cmdAdequacy(args []string, out io.Writer) int {
+func cmdAdequacy(args []string, out, errOut io.Writer) int {
 	if len(args) != 2 {
-		fmt.Fprintln(out, "adequacy: usage: flm adequacy <n> <f>")
+		fmt.Fprintln(errOut, "adequacy: usage: flm adequacy <n> <f>")
 		return 2
 	}
 	n, err1 := strconv.Atoi(args[0])
 	f, err2 := strconv.Atoi(args[1])
 	if err1 != nil || err2 != nil || n < 1 || f < 0 {
-		fmt.Fprintln(out, "adequacy: n and f must be non-negative integers (n >= 1)")
+		fmt.Fprintln(errOut, "adequacy: n and f must be non-negative integers (n >= 1)")
 		return 2
 	}
 	g := flm.Complete(n)
@@ -293,21 +296,21 @@ func cmdAdequacy(args []string, out io.Writer) int {
 	return 0
 }
 
-func cmdProve(args []string, out io.Writer) int {
+func cmdProve(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("prove", flag.ContinueOnError)
 	tracePath := fs.String("trace", "", "write a JSONL instrumentation trace (spans+metrics) to this file; FLM_TRACE is the env fallback")
-	fs.SetOutput(out)
+	fs.SetOutput(errOut)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	args = fs.Args()
 	if len(args) != 1 {
-		fmt.Fprintln(out, "prove: usage: flm prove [-trace file.jsonl] <device>")
+		fmt.Fprintln(errOut, "prove: usage: flm prove [-trace file.jsonl] <device>")
 		return 2
 	}
-	stop, err := startTrace(traceTarget(*tracePath), out)
+	stop, err := startTrace(traceTarget(*tracePath), errOut)
 	if err != nil {
-		fmt.Fprintf(out, "prove: %v\n", err)
+		fmt.Fprintf(errOut, "prove: %v\n", err)
 		return 1
 	}
 	defer stop()
@@ -321,7 +324,7 @@ func cmdProve(args []string, out io.Writer) int {
 	name := args[0]
 	builder, ok := devices[name]
 	if !ok {
-		fmt.Fprintf(out, "prove: unknown device %q (have: majority, eig, phase-king)\n", name)
+		fmt.Fprintf(errOut, "prove: unknown device %q (have: majority, eig, phase-king)\n", name)
 		return 2
 	}
 	builders := map[string]flm.Builder{}
@@ -330,7 +333,7 @@ func cmdProve(args []string, out io.Writer) int {
 	}
 	cr, err := flm.ProveByzantineTriangle(builders, name, 8)
 	if err != nil {
-		fmt.Fprintf(out, "engine error: %v\n", err)
+		fmt.Fprintf(errOut, "engine error: %v\n", err)
 		return 1
 	}
 	fmt.Fprintln(out, cr.String())

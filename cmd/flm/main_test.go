@@ -10,10 +10,11 @@ import (
 	"flm"
 )
 
+// capture runs a command with its output and its errors in one buffer.
 func capture(t *testing.T, args ...string) (string, int) {
 	t.Helper()
 	var buf bytes.Buffer
-	code := run(args, &buf)
+	code := run(args, &buf, &buf)
 	return buf.String(), code
 }
 
@@ -41,6 +42,34 @@ func TestUsageAndErrors(t *testing.T) {
 		if !strings.Contains(out, tt.want) {
 			t.Errorf("%v: output missing %q:\n%s", tt.args, tt.want, out)
 		}
+	}
+}
+
+// TestErrorsGoToErrOut: a failing command writes its reason to the
+// error writer and nothing to its output, so a caller that discards the
+// output (make trace-smoke does) still sees why it failed; help and
+// results stay on the output.
+func TestErrorsGoToErrOut(t *testing.T) {
+	split := func(args ...string) (string, string, int) {
+		var out, errOut bytes.Buffer
+		code := run(args, &out, &errOut)
+		return out.String(), errOut.String(), code
+	}
+	missing := filepath.Join(t.TempDir(), "missing", "t.jsonl")
+	out, errOut, code := split("run", "-trace", missing, "E1")
+	if code != 1 || out != "" || !strings.Contains(errOut, "run: trace: open "+missing) {
+		t.Errorf("run -trace into a missing directory: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	for _, args := range [][]string{nil, {"bogus"}, {"run", "E99"}, {"adequacy", "x", "y"}, {"prove", "nope"}, {"stats"}} {
+		if out, errOut, code := split(args...); code == 0 || out != "" || errOut == "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q", args, code, out, errOut)
+		}
+	}
+	if out, errOut, code := split("help"); code != 0 || !strings.Contains(out, "commands:") || errOut != "" {
+		t.Errorf("help: exit %d, stdout %q, stderr %q", code, out, errOut)
+	}
+	if out, errOut, code := split("adequacy", "4", "1"); code != 0 || !strings.Contains(out, "ADEQUATE") || errOut != "" {
+		t.Errorf("adequacy 4 1: exit %d, stdout %q, stderr %q", code, out, errOut)
 	}
 }
 

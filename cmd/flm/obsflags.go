@@ -27,9 +27,9 @@ func traceTarget(flagVal string) string {
 
 // startTrace installs a process-wide JSONL tracer writing to path and
 // returns a cleanup that flushes the trace (appending the final metrics
-// line) and uninstalls the tracer. An empty path is tracing off: the
+// line), uninstalls the tracer and reports a failed flush to errOut. An empty path is tracing off: the
 // cleanup is a no-op and the engine runs its instrumentation-free path.
-func startTrace(path string, out io.Writer) (stop func(), err error) {
+func startTrace(path string, errOut io.Writer) (stop func(), err error) {
 	if path == "" {
 		return func() {}, nil
 	}
@@ -42,10 +42,10 @@ func startTrace(path string, out io.Writer) (stop func(), err error) {
 	return func() {
 		restore()
 		if err := t.Close(); err != nil {
-			fmt.Fprintf(out, "trace: %v\n", err)
+			fmt.Fprintf(errOut, "trace: %v\n", err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(out, "trace: %v\n", err)
+			fmt.Fprintf(errOut, "trace: %v\n", err)
 		}
 	}, nil
 }

@@ -58,31 +58,31 @@ func usDur(us int64) string {
 	return (time.Duration(us) * time.Microsecond).String()
 }
 
-func cmdStats(args []string, out io.Writer) int {
+func cmdStats(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	minDiskRate := fs.Float64("mindiskrate", -1, "gate: exit nonzero unless at least this percent of the run cache's L1 misses were served from the disk tier (the CI cache-warm assertion); negative disables")
 	diff := fs.Bool("diff", false, "compare two traces (old.jsonl new.jsonl) and exit 3 when behavior drifted beyond -threshold")
 	threshold := fs.Float64("threshold", 5, "diff gate: tolerated drift in percent (counters, span counts, traffic) and percentage points (span time shares, cache rates)")
 	noTiming := fs.Bool("notiming", false, "diff: skip the wall-time-share family (for comparing traces from different machines)")
-	fs.SetOutput(out)
+	fs.SetOutput(errOut)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *diff {
 		if fs.NArg() != 2 {
-			fmt.Fprintln(out, "stats: usage: flm stats -diff [-threshold pct] [-notiming] <old.jsonl> <new.jsonl>")
+			fmt.Fprintln(errOut, "stats: usage: flm stats -diff [-threshold pct] [-notiming] <old.jsonl> <new.jsonl>")
 			return 2
 		}
-		return cmdStatsDiff(fs.Arg(0), fs.Arg(1), *threshold, *noTiming, out)
+		return cmdStatsDiff(fs.Arg(0), fs.Arg(1), *threshold, *noTiming, out, errOut)
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(out, "stats: usage: flm stats [-mindiskrate pct] <trace.jsonl>  (produced by -trace on run/all/prove/chaos), or flm stats -diff <old.jsonl> <new.jsonl>")
+		fmt.Fprintln(errOut, "stats: usage: flm stats [-mindiskrate pct] <trace.jsonl>  (produced by -trace on run/all/prove/chaos), or flm stats -diff <old.jsonl> <new.jsonl>")
 		return 2
 	}
 	path := fs.Arg(0)
 	summary, err := foldTraceFile(path)
 	if err != nil {
-		fmt.Fprintf(out, "stats: %v\n", err)
+		fmt.Fprintf(errOut, "stats: %v\n", err)
 		return 1
 	}
 	summary.render(out, path)
@@ -90,7 +90,7 @@ func cmdStats(args []string, out io.Writer) int {
 		rate := summary.diskRate()
 		fmt.Fprintf(out, "\ndisk tier served %.1f%% of run-cache L1 misses (gate: >= %.1f%%)\n", rate, *minDiskRate)
 		if rate < *minDiskRate {
-			fmt.Fprintln(out, "stats: disk hit-rate below the -mindiskrate gate")
+			fmt.Fprintln(errOut, "stats: disk hit-rate below the -mindiskrate gate")
 			return 3
 		}
 	}

@@ -157,15 +157,15 @@ func fmtDrift(d float64, unit string) string {
 	return fmt.Sprintf("%.2f%s", d, unit)
 }
 
-func cmdStatsDiff(oldPath, newPath string, threshold float64, noTiming bool, out io.Writer) int {
+func cmdStatsDiff(oldPath, newPath string, threshold float64, noTiming bool, out, errOut io.Writer) int {
 	old, err := foldTraceFile(oldPath)
 	if err != nil {
-		fmt.Fprintf(out, "stats: %v\n", err)
+		fmt.Fprintf(errOut, "stats: %v\n", err)
 		return 1
 	}
 	cur, err := foldTraceFile(newPath)
 	if err != nil {
-		fmt.Fprintf(out, "stats: %v\n", err)
+		fmt.Fprintf(errOut, "stats: %v\n", err)
 		return 1
 	}
 	rows := diffSummaries(old, cur, noTiming)
@@ -192,6 +192,6 @@ func cmdStatsDiff(oldPath, newPath string, threshold float64, noTiming bool, out
 		fmt.Fprintf(out, "  %-10s %-28s %14.2f %14.2f %10s\n",
 			r.family, r.name, r.old, r.cur, fmtDrift(r.drift, r.unit))
 	}
-	fmt.Fprintf(out, "\nstats: %d series drifted beyond the %.2f threshold\n", len(drifted), threshold)
+	fmt.Fprintf(errOut, "\nstats: %d series drifted beyond the %.2f threshold\n", len(drifted), threshold)
 	return 3
 }

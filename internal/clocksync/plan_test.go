@@ -1,6 +1,8 @@
 package clocksync
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"flm/internal/clockfn"
@@ -161,5 +163,51 @@ func TestPlanRejectsOversizedFaultySets(t *testing.T) {
 	}
 	if _, err := cutRing(params, g, 2, []int{1, 9, 3}, []int{2, 8}, 0, 5); err == nil {
 		t.Error("b half of three nodes accepted at f=2")
+	}
+}
+
+// TestResultStringLabelsRingNodes: String counts the ring's positions
+// and its S-nodes separately and names each S-node's line, on the
+// triangle ring, the K6 block ring and the diamond cut ring, where the
+// S-nodes outnumber the positions.
+func TestResultStringLabelsRingNodes(t *testing.T) {
+	params := stdParams(1.5)
+	chase := NewChaseMax(params.L)
+	k6, dia := graph.Complete(6), graph.Diamond()
+	for _, c := range []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"triangle", func() (*Result, error) { return Theorem8(params, triBuilders(chase)) }},
+		{"K6 blocks", func() (*Result, error) {
+			return Theorem8Nodes(params, k6, []int{0, 1}, []int{2, 3}, []int{4, 5}, 2, uniform(k6, chase))
+		}},
+		{"diamond cut", func() (*Result, error) {
+			return Theorem8Connectivity(params, dia, []int{1}, []int{3}, 0, 2, 1, uniform(dia, chase))
+		}},
+	} {
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n := r.Run.G.N()
+		lines := strings.Split(r.String(), "\n")
+		head := fmt.Sprintf("ring of %d positions and %d nodes, k=%d", r.K+2, n, r.K)
+		if !strings.HasSuffix(lines[0], head) {
+			t.Errorf("%s: header %q, want it to end in %q", c.name, lines[0], head)
+		}
+		for i := 0; i < n; i++ {
+			want := fmt.Sprintf("  node %s: C(t'') = %.6f", r.Run.G.Name(i), r.Logical[i])
+			if lines[1+i] != want {
+				t.Errorf("%s: line %d = %q, want %q", c.name, 1+i, lines[1+i], want)
+			}
+		}
+		if got := lines[1+n]; len(r.Violations) > 0 && !strings.HasPrefix(got, "  ** ") {
+			t.Errorf("%s: line after the nodes = %q, want the first violation", c.name, got)
+		}
+		r.Run = nil
+		if got, want := strings.Split(r.String(), "\n")[n], fmt.Sprintf("  node %d: C(t'') = %.6f", n-1, r.Logical[n-1]); got != want {
+			t.Errorf("%s without a run: last node line %q, want %q", c.name, got, want)
+		}
 	}
 }

@@ -50,12 +50,19 @@ type Result struct {
 // guarantees it).
 func (r *Result) Contradicted() bool { return len(r.Violations) > 0 }
 
-// String renders the argument.
+// String renders the argument: the ring's K+2 positions and its
+// S-nodes, one logical clock per S-node (named from the covering run's
+// graph, or numbered when there is no run), then the violations.
 func (r *Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Theorem 8 — clock synchronization, ring of %d nodes, k=%d\n", r.K+2, r.K)
+	fmt.Fprintf(&b, "Theorem 8 — clock synchronization, ring of %d positions and %d nodes, k=%d\n",
+		r.K+2, len(r.Logical), r.K)
 	for i, c := range r.Logical {
-		fmt.Fprintf(&b, "  node %d: C_i(t'') = %.6f\n", i, c)
+		if r.Run != nil && i < r.Run.G.N() {
+			fmt.Fprintf(&b, "  node %s: C(t'') = %.6f\n", r.Run.G.Name(i), c)
+		} else {
+			fmt.Fprintf(&b, "  node %d: C(t'') = %.6f\n", i, c)
+		}
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  ** %s\n", v)

@@ -9,10 +9,10 @@
 package dolev
 
 import (
-	"encoding/hex"
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -25,8 +25,8 @@ import (
 // devices.
 type Router struct {
 	g       *graph.Graph
-	f       int
-	paths   map[[2]int][][]int
+	n, f    int
+	paths   [][]int // (origin*n+dest)*(2f+1)+idx -> path; nil when origin == dest
 	maxHops int
 }
 
@@ -38,9 +38,10 @@ func NewRouter(g *graph.Graph, f int) (*Router, error) {
 	if conn := g.VertexConnectivity(); conn < need {
 		return nil, fmt.Errorf("dolev: connectivity %d < 2f+1 = %d", conn, need)
 	}
-	r := &Router{g: g, f: f, paths: make(map[[2]int][][]int)}
-	for u := 0; u < g.N(); u++ {
-		for v := u + 1; v < g.N(); v++ {
+	n := g.N()
+	r := &Router{g: g, n: n, f: f, paths: make([][]int, n*n*need)}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
 			paths, err := g.VertexDisjointPaths(u, v, need)
 			if err != nil {
 				return nil, err
@@ -49,21 +50,14 @@ func NewRouter(g *graph.Graph, f int) (*Router, error) {
 				return nil, fmt.Errorf("dolev: only %d disjoint paths between %s and %s",
 					len(paths), g.Name(u), g.Name(v))
 			}
-			paths = paths[:need]
-			r.paths[[2]int{u, v}] = paths
-			reversed := make([][]int, len(paths))
-			for i, p := range paths {
+			for i, p := range paths[:need] {
 				rp := make([]int, len(p))
 				for j, x := range p {
 					rp[len(p)-1-j] = x
 				}
-				reversed[i] = rp
-			}
-			r.paths[[2]int{v, u}] = reversed
-			for _, p := range paths {
-				if len(p)-1 > r.maxHops {
-					r.maxHops = len(p) - 1
-				}
+				r.paths[(u*n+v)*need+i] = p
+				r.paths[(v*n+u)*need+i] = rp
+				r.maxHops = max(r.maxHops, len(p)-1)
 			}
 		}
 	}
@@ -77,11 +71,10 @@ func (r *Router) StretchFactor() int { return r.maxHops }
 // Path returns the idx-th disjoint path from origin to dest (as node
 // indices), or nil if out of range.
 func (r *Router) Path(origin, dest, idx int) []int {
-	paths := r.paths[[2]int{origin, dest}]
-	if idx < 0 || idx >= len(paths) {
+	if origin < 0 || origin >= r.n || dest < 0 || dest >= r.n || idx < 0 || idx >= r.NumPaths() {
 		return nil
 	}
-	return paths[idx]
+	return r.paths[(origin*r.n+dest)*r.NumPaths()+idx]
 }
 
 // NumPaths returns the number of disjoint paths used per pair (2f+1).
@@ -94,88 +87,77 @@ type piece struct {
 	pathIdx      int
 	hop          int // position of the current holder on the path
 	innerRound   int
-	payload      string // hex-encoded inner payload
+	payload      string // the inner payload, raw
 }
 
-func (p piece) encode(r *Router) string {
-	return string(p.appendEncode(nil, r))
+// encode returns the wire form of p. Pieces carry router node indices,
+// so the router is not consulted.
+func (p piece) encode(*Router) string {
+	return string(p.appendEncode(nil))
 }
 
-// appendEncode is the allocation-free form of encode: it appends the wire
-// representation ("origin>dest>pathIdx,hop,innerRound,payload") to b. The
-// overlay encodes every piece every hop, so this path must not go through
-// fmt.
-func (p piece) appendEncode(b []byte, r *Router) []byte {
-	b = append(b, r.g.Name(p.origin)...)
-	b = append(b, '>')
-	b = append(b, r.g.Name(p.dest)...)
-	b = append(b, '>')
+// appendEncode appends the wire form of p to b:
+// "origin,dest,pathIdx,hop,innerRound,len:payload", the fields in
+// canonical decimal and len the byte length of the raw payload. Pieces
+// are concatenated with no separator, so the header, which is always
+// printable, is what frames them.
+func (p piece) appendEncode(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(p.origin), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(p.dest), 10)
+	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(p.pathIdx), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(p.hop), 10)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(p.innerRound), 10)
 	b = append(b, ',')
-	b = append(b, p.payload...)
-	return b
+	b = strconv.AppendInt(b, int64(len(p.payload)), 10)
+	b = append(b, ':')
+	return append(b, p.payload...)
 }
 
-// isHex reports whether s is a valid hex string by hex.DecodeString's
-// rules, without allocating the decoded bytes just to throw them away.
-func isHex(s string) bool {
-	if len(s)%2 != 0 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
-			return false
-		}
-	}
-	return true
-}
-
+// decodePiece decodes s when it is exactly one well-formed piece.
 func decodePiece(r *Router, s string) (piece, bool) {
-	var p piece
-	// Wire layout: origin>dest>pathIdx,hop,innerRound,payload. Cut walks
-	// the fields without allocating the intermediate slices that
-	// strings.Split would.
-	head, rest, ok := strings.Cut(s, ",")
-	if !ok {
-		return p, false
+	p, rest, ok := r.nextPiece(s)
+	return p, ok && rest == ""
+}
+
+// nextPiece decodes the piece at the front of s in one bounded pass and
+// returns it with the bytes that follow. It rejects an origin or
+// destination of n or more, a path index of 2f+1 or more, a hop of 0 or
+// past the longest path, a field with a sign or a leading zero or past
+// the int range, and a payload length past the end of s. After a
+// rejected piece the framing is lost, so the caller stops there.
+func (r *Router) nextPiece(s string) (p piece, rest string, ok bool) {
+	var field [6]int
+	i := 0
+	for k := range field {
+		sep := byte(',')
+		if k == len(field)-1 {
+			sep = ':'
+		}
+		start, x := i, 0
+		for ; i < len(s) && s[i] != sep; i++ {
+			c := int(s[i]) - '0'
+			if c < 0 || c > 9 || x > (math.MaxInt-c)/10 {
+				return p, "", false
+			}
+			x = x*10 + c
+		}
+		if i == start || i == len(s) || s[start] == '0' && i-start > 1 {
+			return p, "", false
+		}
+		field[k] = x
+		i++ // the separator
 	}
-	originName, route, ok := strings.Cut(head, ">")
-	if !ok {
-		return p, false
+	p = piece{origin: field[0], dest: field[1], pathIdx: field[2], hop: field[3], innerRound: field[4]}
+	if p.origin >= r.n || p.dest >= r.n || p.pathIdx >= r.NumPaths() ||
+		p.hop == 0 || p.hop > r.maxHops || field[5] > len(s)-i {
+		return piece{}, "", false
 	}
-	destName, pathIdxS, ok := strings.Cut(route, ">")
-	if !ok || strings.IndexByte(pathIdxS, '>') >= 0 {
-		return p, false
-	}
-	hopS, rest2, ok := strings.Cut(rest, ",")
-	if !ok {
-		return p, false
-	}
-	innerRoundS, payload, ok := strings.Cut(rest2, ",")
-	if !ok {
-		return p, false
-	}
-	origin, ok1 := r.g.Index(originName)
-	dest, ok2 := r.g.Index(destName)
-	if !ok1 || !ok2 {
-		return p, false
-	}
-	pathIdx, err1 := sim.DecodeInt(pathIdxS)
-	hop, err2 := sim.DecodeInt(hopS)
-	innerRound, err3 := sim.DecodeInt(innerRoundS)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return p, false
-	}
-	if !isHex(payload) {
-		return p, false
-	}
-	p = piece{origin: origin, dest: dest, pathIdx: pathIdx, hop: hop, innerRound: innerRound, payload: payload}
-	return p, true
+	p.payload = s[i : i+field[5]]
+	return p, s[i+field[5]:], true
 }
 
 // overlayDevice runs an inner complete-graph device over Dolev routing.
@@ -187,21 +169,32 @@ type overlayDevice struct {
 	portNode  []int                 // port -> node; -1 for a neighbor outside the router's graph
 	nodePort  []int                 // node -> port; -1 for non-neighbors
 	outbox    []piece               // pieces to transmit next round
-	arrived   map[arrivalKey]string // (origin, innerRound, pathIdx) -> payload (first copy wins)
+	arrived   map[arrivalKey]string // (origin, innerRound, pathIdx) -> raw payload (first copy wins)
 
 	// Reusable per-step scratch. The overlay steps every simulator round
 	// for every node, so transient maps and slices here would otherwise
 	// dominate the sweep allocator profile.
-	innerInbox sim.Inbox  // decoded majority inbox, by inner port (stepInner)
-	tallyVals  []string   // distinct copies seen on the paths (stepInner)
-	tallyCnts  []int      // matching counts (stepInner)
-	frags      [][]string // encoded fragments per port (flush)
-	encBuf     []byte     // piece wire-encoding buffer (flush)
-	out        sim.Outbox // (flush)
+	innerInbox sim.Inbox    // majority inbox, by inner port (stepInner)
+	tallyVals  []string     // distinct copies seen on the paths (stepInner)
+	tallyCnts  []int        // matching counts (stepInner)
+	wire       [][]byte     // outgoing pieces, framed, by port (flush)
+	out        sim.Outbox   // (flush)
+	snapKeys   []arrivalKey // (Snapshot)
+	snapBuf    []byte       // (Snapshot)
 }
 
 type arrivalKey struct {
 	origin, innerRound, pathIdx int
+}
+
+func compareArrivals(a, b arrivalKey) int {
+	if c := cmp.Compare(a.origin, b.origin); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.innerRound, b.innerRound); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pathIdx, b.pathIdx)
 }
 
 var _ sim.Device = (*overlayDevice)(nil)
@@ -217,6 +210,10 @@ func Overlay(router *Router, inner sim.Builder) sim.Builder {
 		byName[v] = v
 	}
 	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(g.Name(a), g.Name(b)) })
+	// Per inner round a node receives one copy per path from every other
+	// node and launches as many. A relay's queue grows past that once and
+	// keeps its capacity.
+	copies := (g.N() - 1) * router.NumPaths()
 	return func(self string, neighbors []string, input sim.Input) sim.Device {
 		u := g.MustIndex(self)
 		peerNodes := make([]int, 0, g.N()-1)
@@ -236,8 +233,9 @@ func Overlay(router *Router, inner sim.Builder) sim.Builder {
 			peerNodes: peerNodes,
 			portNode:  make([]int, len(nbs)),
 			nodePort:  make([]int, g.N()),
-			arrived:   make(map[arrivalKey]string),
-			frags:     make([][]string, len(nbs)),
+			outbox:    make([]piece, 0, copies),
+			arrived:   make(map[arrivalKey]string, copies),
+			wire:      make([][]byte, len(nbs)),
 		}
 		for v := range d.nodePort {
 			d.nodePort[v] = -1
@@ -270,23 +268,23 @@ func (d *overlayDevice) Step(round int, inbox sim.Inbox) sim.Outbox {
 }
 
 // ingest validates and routes incoming pieces: recording copies addressed
-// to us, forwarding the rest one hop.
+// to us, forwarding the rest one hop. A malformed piece ends its payload:
+// the framing is lost after it, and only a faulty sender writes one, so
+// dropping the rest is an omission.
 func (d *overlayDevice) ingest(inbox sim.Inbox) {
 	for port, payload := range inbox {
 		fromIdx := d.portNode[port]
-		if fromIdx < 0 || payload == sim.None {
+		if fromIdx < 0 {
 			continue
 		}
-		rest := string(payload)
-		for more := true; more; {
-			var frag string
-			frag, rest, more = strings.Cut(rest, "&")
-			pc, ok := decodePiece(d.router, frag)
+		for rest := string(payload); rest != ""; {
+			pc, next, ok := d.router.nextPiece(rest)
 			if !ok {
-				continue
+				break
 			}
+			rest = next
 			path := d.router.Path(pc.origin, pc.dest, pc.pathIdx)
-			if path == nil || pc.hop <= 0 || pc.hop >= len(path) {
+			if pc.hop >= len(path) {
 				continue
 			}
 			// We must be the node at position hop, fed by position hop-1.
@@ -301,15 +299,14 @@ func (d *overlayDevice) ingest(inbox sim.Inbox) {
 				}
 				continue
 			}
-			next := pc
-			next.hop++
-			d.outbox = append(d.outbox, next)
+			pc.hop++
+			d.outbox = append(d.outbox, pc)
 		}
 	}
 }
 
-// stepInner decodes the majority inbox for the inner round and launches
-// the inner device's new messages along all disjoint paths.
+// stepInner hands the inner device the majority inbox for the inner
+// round and launches its new messages along all disjoint paths.
 func (d *overlayDevice) stepInner(innerRound int) {
 	if d.innerInbox == nil {
 		d.innerInbox = make(sim.Inbox, len(d.peerNodes))
@@ -320,7 +317,7 @@ func (d *overlayDevice) stepInner(innerRound int) {
 			// Tally the ≤ 2f+1 path copies in small parallel slices; a map
 			// plus a sorted key slice per origin per round is allocator
 			// noise for a population this size. Ties break toward the
-			// lexicographically smallest copy, as the sorted-keys scan did.
+			// lexicographically smallest copy.
 			vals, cnts := d.tallyVals[:0], d.tallyCnts[:0]
 			for idx := 0; idx < d.router.NumPaths(); idx++ {
 				key := arrivalKey{origin: origin, innerRound: innerRound - 1, pathIdx: idx}
@@ -349,10 +346,7 @@ func (d *overlayDevice) stepInner(innerRound int) {
 			}
 			// Authentic iff a majority of the 2f+1 paths agree.
 			if bestN >= d.router.f+1 {
-				decoded, err := hex.DecodeString(best)
-				if err == nil && len(decoded) > 0 {
-					d.innerInbox[port] = sim.Payload(decoded)
-				}
+				d.innerInbox[port] = sim.Payload(best)
 			}
 		}
 	}
@@ -361,17 +355,18 @@ func (d *overlayDevice) stepInner(innerRound int) {
 		if payload == sim.None {
 			continue
 		}
-		encoded := hex.EncodeToString([]byte(payload))
 		for idx := 0; idx < d.router.NumPaths(); idx++ {
 			d.outbox = append(d.outbox, piece{
 				origin: d.self, dest: d.peerNodes[port], pathIdx: idx, hop: 1,
-				innerRound: innerRound, payload: encoded,
+				innerRound: innerRound, payload: string(payload),
 			})
 		}
 	}
 }
 
-// flush groups queued pieces by next-hop port into one payload each.
+// flush frames the queued pieces into one payload per next-hop port.
+// The queue order is deterministic (ingest walks ports in order, then
+// stepInner walks peers in order), so it fixes the payload bytes.
 func (d *overlayDevice) flush() sim.Outbox {
 	if len(d.outbox) == 0 {
 		return nil
@@ -382,48 +377,47 @@ func (d *overlayDevice) flush() sim.Outbox {
 		if port < 0 {
 			continue // cannot happen with consistent tables
 		}
-		d.encBuf = pc.appendEncode(d.encBuf[:0], d.router)
-		d.frags[port] = append(d.frags[port], string(d.encBuf))
+		d.wire[port] = pc.appendEncode(d.wire[port])
 	}
 	d.outbox = d.outbox[:0]
 	if d.out == nil {
-		d.out = make(sim.Outbox, len(d.frags))
+		d.out = make(sim.Outbox, len(d.wire))
 	}
-	for port, frags := range d.frags {
-		d.out[port] = sim.None
-		if len(frags) == 0 {
-			continue
-		}
-		// Pieces queue in arrival order; sorting fixes the payload bytes.
-		sort.Strings(frags)
-		d.out[port] = sim.Payload(strings.Join(frags, "&"))
-		d.frags[port] = frags[:0]
+	for port, b := range d.wire {
+		d.out[port] = sim.Payload(b) // None when nothing goes there
+		d.wire[port] = b[:0]
 	}
 	return d.out
 }
 
+const hexDigits = "0123456789abcdef"
+
+// Snapshot is "dolev|<inner>" followed by "|o.r.p=<hex>" for each
+// stored copy, in (origin, innerRound, pathIdx) order. Copies are held
+// raw and hex-encoded only here.
 func (d *overlayDevice) Snapshot() string {
-	keys := make([]arrivalKey, 0, len(d.arrived))
+	keys := d.snapKeys[:0]
 	for k := range d.arrived {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.origin != b.origin {
-			return a.origin < b.origin
-		}
-		if a.innerRound != b.innerRound {
-			return a.innerRound < b.innerRound
-		}
-		return a.pathIdx < b.pathIdx
-	})
-	var b strings.Builder
-	b.WriteString("dolev|")
-	b.WriteString(d.inner.Snapshot())
+	slices.SortFunc(keys, compareArrivals)
+	b := append(d.snapBuf[:0], "dolev|"...)
+	b = append(b, d.inner.Snapshot()...)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%d.%d.%d=%s", k.origin, k.innerRound, k.pathIdx, d.arrived[k])
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(k.origin), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(k.innerRound), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(k.pathIdx), 10)
+		b = append(b, '=')
+		v := d.arrived[k]
+		for i := 0; i < len(v); i++ {
+			b = append(b, hexDigits[v[i]>>4], hexDigits[v[i]&0x0f])
+		}
 	}
-	return b.String()
+	d.snapKeys, d.snapBuf = keys, b
+	return string(b)
 }
 
 func (d *overlayDevice) Output() (sim.Decision, bool) { return d.inner.Output() }
