@@ -17,28 +17,17 @@ const (
 	retreat = false
 )
 
-func runCouncil(g *flm.Graph, f int, honest flm.Builder, rounds int,
+func runCouncil(g *flm.Graph, honest flm.Builder, rounds int,
 	votes map[string]bool, traitors map[string]flm.Builder) {
-	p := flm.Protocol{Builders: map[string]flm.Builder{}, Inputs: map[string]flm.Input{}}
-	var loyal []string
+	inputs := make(map[string]flm.Input, g.N())
 	for _, name := range g.Names() {
-		p.Inputs[name] = flm.BoolInput(votes[name])
-		if tb, isTraitor := traitors[name]; isTraitor {
-			p.Builders[name] = tb
-		} else {
-			p.Builders[name] = honest
-			loyal = append(loyal, name)
-		}
+		inputs[name] = flm.BoolInput(votes[name])
 	}
-	sys, err := flm.NewSystem(g, p)
+	trial := flm.ByzantineTrial{G: g, Inputs: inputs, Honest: honest, Faulty: traitors, Rounds: rounds}
+	run, loyal, rep, err := trial.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := flm.Execute(sys, rounds)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rep := flm.CheckByzantineAgreement(run, loyal)
 	fmt.Printf("  loyal generals agree: %v\n", rep.OK())
 	for _, name := range loyal {
 		d, _ := run.DecisionOf(name)
@@ -65,7 +54,7 @@ func main() {
 			func(nb string) bool { return nb < "p3" }),
 		"p5": flm.Silent(),
 	}
-	runCouncil(g, 2, honest, flm.EIGRounds(2), votes, traitors)
+	runCouncil(g, honest, flm.EIGRounds(2), votes, traitors)
 
 	// Courier network: the wheel W7 has only 10 of K7's 21 roads but
 	// still connectivity 3 = 2f+1 for f=1; Dolev routing carries the
@@ -84,7 +73,7 @@ func main() {
 		sparse.VertexConnectivity())
 	fmt.Printf("  each message travels %d vertex-disjoint paths (stretch %d rounds/step)\n",
 		router.NumPaths(), router.StretchFactor())
-	runCouncil(sparse, 1, overlay, router.Rounds(flm.EIGRounds(1)), sparseVotes,
+	runCouncil(sparse, overlay, router.Rounds(flm.EIGRounds(1)), sparseVotes,
 		map[string]flm.Builder{"w0": flm.Noise(42)})
 
 	// And the punchline: with only three generals and one traitor there
@@ -107,7 +96,7 @@ func main() {
 	signedHonest := flm.NewDolevStrong(1, tri.Names(), reg)
 	signedVotes := map[string]bool{"a": attack, "b": attack, "c": retreat}
 	fmt.Println("\nThe same three generals with signed orders (Dolev-Strong), traitor c equivocating:")
-	runCouncil(tri, 1, signedHonest, flm.DolevStrongRounds(1), signedVotes,
+	runCouncil(tri, signedHonest, flm.DolevStrongRounds(1), signedVotes,
 		map[string]flm.Builder{"c": flm.Equivocate(signedHonest,
 			flm.BoolInput(retreat), flm.BoolInput(attack),
 			func(nb string) bool { return nb == "a" })})

@@ -30,22 +30,19 @@ func main() {
 	// 2. On K4, EIG reaches agreement with one Byzantine node: here the
 	// traitor p3 stays silent.
 	g := flm.Complete(4)
-	p := flm.Protocol{Builders: map[string]flm.Builder{}, Inputs: map[string]flm.Input{}}
+	inputs := map[string]flm.Input{}
 	for i, name := range g.Names() {
-		p.Builders[name] = flm.NewEIG(1, g.Names())
-		p.Inputs[name] = flm.BoolInput(i%2 == 0)
+		inputs[name] = flm.BoolInput(i%2 == 0)
 	}
-	p.Builders["p3"] = flm.Silent()
-	sys, err := flm.NewSystem(g, p)
+	trial := flm.ByzantineTrial{
+		G: g, Inputs: inputs, Honest: flm.NewEIG(1, g.Names()),
+		Faulty: map[string]flm.Builder{"p3": flm.Silent()},
+		Rounds: flm.EIGRounds(1),
+	}
+	run, correct, rep, err := trial.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	run, err := flm.Execute(sys, flm.EIGRounds(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	correct := []string{"p0", "p1", "p2"}
-	rep := flm.CheckByzantineAgreement(run, correct)
 	fmt.Printf("\nEIG on K4 with silent p3: agreement OK = %v\n", rep.OK())
 	for _, name := range correct {
 		d, _ := run.DecisionOf(name)

@@ -39,17 +39,9 @@ func (d *echoDevice) Output() (sim.Decision, bool) { return sim.Decision{}, fals
 func runStar(t *testing.T, center sim.Builder, rounds int) *sim.Run {
 	t.Helper()
 	g := graph.Star(4) // s0 center, s1..s3 leaves
-	p := sim.Protocol{Builders: map[string]sim.Builder{}, Inputs: map[string]sim.Input{}}
-	for _, name := range g.Names() {
-		p.Builders[name] = echoBuilder
-		p.Inputs[name] = "1"
-	}
-	p.Builders["s0"] = center
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Execute(sys, rounds)
+	inputs := map[string]sim.Input{"s0": "1", "s1": "1", "s2": "1", "s3": "1"}
+	trial := sim.Trial{G: g, Inputs: inputs, Honest: echoBuilder, Faulty: map[string]sim.Builder{"s0": center}, Rounds: rounds}
+	run, _, err := trial.Run(sim.FullRecording)
 	if err != nil {
 		t.Fatal(err)
 	}

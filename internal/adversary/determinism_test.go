@@ -19,22 +19,16 @@ func transcript(t *testing.T, seed int64) string {
 	t.Helper()
 	g := graph.Complete(5)
 	names := g.Names()
-	honest := byzantine.NewEIG(1, names)
-	proto := sim.Protocol{
-		Builders: map[string]sim.Builder{},
-		Inputs:   map[string]sim.Input{},
-	}
+	inputs := make(map[string]sim.Input, len(names))
 	for i, name := range names {
-		proto.Builders[name] = honest
-		proto.Inputs[name] = sim.BoolInput(i%2 == 0)
+		inputs[name] = sim.BoolInput(i%2 == 0)
 	}
-	proto.Builders[names[1]] = Noise(seed, "0", "1", "garbage")
-	sys, err := sim.NewSystem(g, proto)
-	if err != nil {
-		t.Fatal(err)
+	trial := sim.Trial{
+		G: g, Inputs: inputs, Honest: byzantine.NewEIG(1, names),
+		Faulty: map[string]sim.Builder{names[1]: Noise(seed, "0", "1", "garbage")},
+		Rounds: byzantine.EIGRounds(1),
 	}
-	rounds := byzantine.EIGRounds(1)
-	run, err := sim.ExecuteWith(sys, rounds, sim.FullRecording)
+	run, _, err := trial.Run(sim.FullRecording)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,34 +55,10 @@ func spread(vals map[string]float64) float64 {
 	return hi - lo
 }
 
-// SimpleReport records the simple approximate agreement conditions.
-type SimpleReport struct {
-	Termination error
-	Agreement   error // output spread strictly smaller than input spread (or both 0)
-	Validity    error // outputs inside the input range
-}
-
-// OK reports whether every condition holds.
-func (r SimpleReport) OK() bool {
-	return r.Termination == nil && r.Agreement == nil && r.Validity == nil
-}
-
-// Err returns the first violated condition, or nil.
-func (r SimpleReport) Err() error {
-	switch {
-	case r.Termination != nil:
-		return r.Termination
-	case r.Agreement != nil:
-		return r.Agreement
-	default:
-		return r.Validity
-	}
-}
-
 // CheckSimple evaluates the simple approximate agreement conditions on a
 // run with the given correct nodes.
-func CheckSimple(run *sim.Run, correct []string) SimpleReport {
-	var rep SimpleReport
+func CheckSimple(run *sim.Run, correct []string) sim.Report {
+	var rep sim.Report
 	outs, err := Outputs(run, correct)
 	if err != nil {
 		rep.Termination = err
@@ -110,35 +86,11 @@ func CheckSimple(run *sim.Run, correct []string) SimpleReport {
 	return rep
 }
 
-// EDGReport records the (ε,δ,γ)-agreement conditions.
-type EDGReport struct {
-	Termination error
-	Agreement   error // outputs within eps of each other
-	Validity    error // outputs within [min-gamma, max+gamma]
-}
-
-// OK reports whether every condition holds.
-func (r EDGReport) OK() bool {
-	return r.Termination == nil && r.Agreement == nil && r.Validity == nil
-}
-
-// Err returns the first violated condition, or nil.
-func (r EDGReport) Err() error {
-	switch {
-	case r.Termination != nil:
-		return r.Termination
-	case r.Agreement != nil:
-		return r.Agreement
-	default:
-		return r.Validity
-	}
-}
-
 // CheckEDG evaluates the (ε,δ,γ)-agreement conditions. The caller is
 // responsible for only applying it to runs whose correct inputs are at
 // most δ apart (the problem's precondition).
-func CheckEDG(run *sim.Run, correct []string, eps, gamma float64) EDGReport {
-	var rep EDGReport
+func CheckEDG(run *sim.Run, correct []string, eps, gamma float64) sim.Report {
+	var rep sim.Report
 	outs, err := Outputs(run, correct)
 	if err != nil {
 		rep.Termination = err

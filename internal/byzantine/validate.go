@@ -3,40 +3,13 @@ package byzantine
 import (
 	"fmt"
 
-	"flm/internal/graph"
 	"flm/internal/sim"
 )
 
-// Report records which Byzantine agreement correctness conditions a run
-// satisfied for a given correct-node set. A nil field means the condition
-// holds.
-type Report struct {
-	Termination error // every correct node decided
-	Agreement   error // all correct decisions equal
-	Validity    error // unanimous correct input forces that output
-}
-
-// OK reports whether every condition holds.
-func (r Report) OK() bool { return r.Termination == nil && r.Agreement == nil && r.Validity == nil }
-
-// Err returns the first violated condition, or nil.
-func (r Report) Err() error {
-	switch {
-	case r.Termination != nil:
-		return r.Termination
-	case r.Agreement != nil:
-		return r.Agreement
-	case r.Validity != nil:
-		return r.Validity
-	default:
-		return nil
-	}
-}
-
 // CheckBA evaluates the Byzantine agreement conditions on a run with the
 // given correct nodes (every other node is presumed faulty and ignored).
-func CheckBA(run *sim.Run, correct []string) Report {
-	var rep Report
+func CheckBA(run *sim.Run, correct []string) sim.Report {
+	var rep sim.Report
 	decisions := make(map[string]string, len(correct))
 	for _, name := range correct {
 		d, err := run.DecisionOf(name)
@@ -81,21 +54,14 @@ func CheckBA(run *sim.Run, correct []string) Report {
 	return rep
 }
 
-// Trial describes one agreement execution: a graph, per-node inputs, the
-// honest protocol builder, and a set of faulty nodes with their
-// strategies.
-type Trial struct {
-	G      *graph.Graph
-	Inputs map[string]sim.Input
-	Honest sim.Builder
-	Faulty map[string]sim.Builder
-	Rounds int
-}
+// Trial is one agreement execution: a sim.Trial whose runs are judged
+// by the Byzantine agreement conditions.
+type Trial sim.Trial
 
 // Run executes the trial with full recording and checks the agreement
 // conditions over the non-faulty nodes. It returns the run, the
 // correct-node list, and the condition report.
-func (t Trial) Run() (*sim.Run, []string, Report, error) {
+func (t Trial) Run() (*sim.Run, []string, sim.Report, error) {
 	return t.RunWith(sim.FullRecording)
 }
 
@@ -104,32 +70,10 @@ func (t Trial) Run() (*sim.Run, []string, Report, error) {
 // zero ExecuteOpts for the allocation-lean fast path; anything that feeds
 // the run into stats, traces, or the axiom machinery needs
 // sim.FullRecording.
-func (t Trial) RunWith(opts sim.ExecuteOpts) (*sim.Run, []string, Report, error) {
-	p := sim.Protocol{
-		Builders: make(map[string]sim.Builder, t.G.N()),
-		Inputs:   make(map[string]sim.Input, t.G.N()),
-	}
-	var correct []string
-	for _, name := range t.G.Names() {
-		input, ok := t.Inputs[name]
-		if !ok {
-			return nil, nil, Report{}, fmt.Errorf("byzantine: no input for node %s", name)
-		}
-		p.Inputs[name] = input
-		if fb, bad := t.Faulty[name]; bad {
-			p.Builders[name] = fb
-		} else {
-			p.Builders[name] = t.Honest
-			correct = append(correct, name)
-		}
-	}
-	sys, err := sim.NewSystem(t.G, p)
+func (t Trial) RunWith(opts sim.ExecuteOpts) (*sim.Run, []string, sim.Report, error) {
+	run, correct, err := sim.Trial(t).Run(opts)
 	if err != nil {
-		return nil, nil, Report{}, err
-	}
-	run, err := sim.ExecuteWith(sys, t.Rounds, opts)
-	if err != nil {
-		return nil, nil, Report{}, err
+		return nil, nil, sim.Report{}, err
 	}
 	return run, correct, CheckBA(run, correct), nil
 }

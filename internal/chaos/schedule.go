@@ -70,7 +70,12 @@ type protocol struct {
 	input    func(rng *rand.Rand) string
 	honest   func(f int, peers []string) sim.Builder
 	rounds   func(f int) int
-	check    func(run *sim.Run, correct []string) error
+	check    func(run *sim.Run, correct []string) sim.Report
+	// deadOnly renders every faulty action's node initially dead,
+	// whatever its strategy label: the fault family is the protocol's
+	// premise, and keeping the mapping total means a shrinker rewrite
+	// can never turn its trial into an unrunnable one.
+	deadOnly bool
 }
 
 var panel = []protocol{
@@ -82,9 +87,7 @@ var panel = []protocol{
 		input:    func(rng *rand.Rand) string { return sim.EncodeBool(rng.Intn(2) == 1) },
 		honest:   func(f int, peers []string) sim.Builder { return byzantine.NewEIG(f, peers) },
 		rounds:   byzantine.EIGRounds,
-		check: func(run *sim.Run, correct []string) error {
-			return byzantine.CheckBA(run, correct).Err()
-		},
+		check:    byzantine.CheckBA,
 	},
 	{
 		name:     "phase-king",
@@ -94,9 +97,7 @@ var panel = []protocol{
 		input:    func(rng *rand.Rand) string { return sim.EncodeBool(rng.Intn(2) == 1) },
 		honest:   func(f int, peers []string) sim.Builder { return byzantine.NewPhaseKing(f, peers) },
 		rounds:   byzantine.PhaseKingRounds,
-		check: func(run *sim.Run, correct []string) error {
-			return byzantine.CheckBA(run, correct).Err()
-		},
+		check:    byzantine.CheckBA,
 	},
 	{
 		name:     "turpin-coan",
@@ -108,9 +109,7 @@ var panel = []protocol{
 		},
 		honest: func(f int, peers []string) sim.Builder { return byzantine.NewTurpinCoan(f, peers) },
 		rounds: byzantine.TurpinCoanRounds,
-		check: func(run *sim.Run, correct []string) error {
-			return byzantine.CheckBA(run, correct).Err()
-		},
+		check:  byzantine.CheckBA,
 	},
 	{
 		name:  "approx",
@@ -128,10 +127,18 @@ var panel = []protocol{
 			return approx.NewDLPSW(f, peers, approxAveragingRounds)
 		},
 		rounds: func(f int) int { return approx.DLPSWRounds(approxAveragingRounds) },
-		check: func(run *sim.Run, correct []string) error {
-			return approx.CheckSimple(run, correct).Err()
-		},
+		check:  approx.CheckSimple,
 	},
+}
+
+// initdeadProtocol is the FLP §4 initially-dead consensus protocol.
+// It joins the draw only through newInitdeadSchedule, which sizes its
+// trials on both sides of the n > 2t threshold.
+var initdeadProtocol = protocol{
+	name:     "initdead",
+	honest:   func(t int, _ []string) sim.Builder { return initdead.New(t) },
+	check:    initdead.Check,
+	deadOnly: true,
 }
 
 // approxAveragingRounds is the DLPSW iteration count used by chaos
@@ -284,9 +291,6 @@ func RunSchedule(s Schedule) Outcome {
 	if s.Protocol == "clocksync" {
 		return runClockSchedule(s)
 	}
-	if s.Protocol == "initdead" {
-		return runInitdeadSchedule(s)
-	}
 	p, ok := findProtocol(s.Protocol)
 	if !ok {
 		return Outcome{EngineErr: fmt.Errorf("chaos: unknown protocol %q", s.Protocol)}
@@ -296,80 +300,30 @@ func RunSchedule(s Schedule) Outcome {
 	if len(s.Inputs) != len(names) {
 		return Outcome{EngineErr: fmt.Errorf("chaos: %d inputs for %d nodes", len(s.Inputs), len(names))}
 	}
-	honest := p.honest(s.F, names)
-	proto := sim.Protocol{
-		Builders: make(map[string]sim.Builder, len(names)),
-		Inputs:   make(map[string]sim.Input, len(names)),
+	t := sim.Trial{
+		G:      g,
+		Inputs: make(map[string]sim.Input, len(names)),
+		Honest: p.honest(s.F, names),
+		Faulty: make(map[string]sim.Builder, len(s.Actions)),
+		Rounds: s.Rounds,
 	}
 	for j, name := range names {
-		proto.Builders[name] = honest
-		proto.Inputs[name] = sim.Input(s.Inputs[j])
+		t.Inputs[name] = sim.Input(s.Inputs[j])
 	}
-	faulty := make(map[string]bool, len(s.Actions))
 	for _, a := range s.Actions {
-		proto.Builders[a.Node] = corrupt(a, p, honest, s.Rounds)
-		faulty[a.Node] = true
+		t.Faulty[a.Node] = corrupt(a, p, t.Honest, s.Rounds)
 	}
-	sys, err := sim.NewSystem(g, proto)
+	run, correct, err := t.Run(sim.ExecuteOpts{Delays: delaysOf(s)})
 	if err != nil {
 		return Outcome{EngineErr: err}
 	}
-	run, err := sim.ExecuteWith(sys, s.Rounds, sim.ExecuteOpts{Delays: delaysOf(s)})
-	if err != nil {
-		return Outcome{EngineErr: err}
-	}
-	var correct []string
-	for _, name := range names {
-		if !faulty[name] {
-			correct = append(correct, name)
-		}
-	}
-	return Outcome{Violation: p.check(run, correct)}
-}
-
-// runInitdeadSchedule executes one initially-dead consensus trial.
-// Every faulty action, whatever its strategy label, renders its node
-// initially dead: the fault family is the protocol's premise, and
-// keeping the mapping total means a shrinker rewrite can never turn an
-// initdead trial into an unrunnable one.
-func runInitdeadSchedule(s Schedule) Outcome {
-	g := graph.Complete(s.N)
-	names := g.Names()
-	if len(s.Inputs) != len(names) {
-		return Outcome{EngineErr: fmt.Errorf("chaos: %d inputs for %d nodes", len(s.Inputs), len(names))}
-	}
-	honest := initdead.New(s.F)
-	proto := sim.Protocol{
-		Builders: make(map[string]sim.Builder, len(names)),
-		Inputs:   make(map[string]sim.Input, len(names)),
-	}
-	for j, name := range names {
-		proto.Builders[name] = honest
-		proto.Inputs[name] = sim.Input(s.Inputs[j])
-	}
-	dead := make(map[string]bool, len(s.Actions))
-	for _, a := range s.Actions {
-		proto.Builders[a.Node] = adversary.InitiallyDead()
-		dead[a.Node] = true
-	}
-	sys, err := sim.NewSystem(g, proto)
-	if err != nil {
-		return Outcome{EngineErr: err}
-	}
-	run, err := sim.ExecuteWith(sys, s.Rounds, sim.ExecuteOpts{Delays: delaysOf(s)})
-	if err != nil {
-		return Outcome{EngineErr: err}
-	}
-	var live []string
-	for _, name := range names {
-		if !dead[name] {
-			live = append(live, name)
-		}
-	}
-	return Outcome{Violation: initdead.Check(run, live).Err()}
+	return Outcome{Violation: p.check(run, correct).Err()}
 }
 
 func findProtocol(name string) (protocol, bool) {
+	if name == initdeadProtocol.name {
+		return initdeadProtocol, true
+	}
 	for _, p := range panel {
 		if p.name == name {
 			return p, true
@@ -381,6 +335,9 @@ func findProtocol(name string) (protocol, bool) {
 // corrupt composes the adversary-package strategies into the builder for
 // one faulty node, fully determined by the action.
 func corrupt(a Action, p protocol, honest sim.Builder, rounds int) sim.Builder {
+	if p.deadOnly {
+		return adversary.InitiallyDead()
+	}
 	alphabet := p.alphabet
 	switch a.Strategy {
 	case "silent":

@@ -102,24 +102,6 @@ func (i inverse) At(t float64) float64  { return i.f.Inv(t) }
 func (i inverse) Inv(y float64) float64 { return i.f.At(y) }
 func (i inverse) String() string        { return "(" + i.f.String() + ")⁻¹" }
 
-// Iterate returns fⁿ (n-fold composition); negative n gives (f⁻¹)^|n| and
-// n = 0 the identity.
-func Iterate(f Fn, n int) Fn {
-	if n == 0 {
-		return Identity()
-	}
-	base := f
-	if n < 0 {
-		base = Inverse(f)
-		n = -n
-	}
-	out := base
-	for i := 1; i < n; i++ {
-		out = Compose(out, base)
-	}
-	return out
-}
-
 // RatLinear is the exact affine clock D(t) = Rate*t + Off over the
 // rationals. The zero value is unusable; construct with NewRatLinear or
 // RatIdentity.

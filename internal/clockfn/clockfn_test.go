@@ -48,36 +48,12 @@ func TestComposeAndInverse(t *testing.T) {
 	}
 }
 
-func TestIterate(t *testing.T) {
-	f := Linear{Rate: 2, Off: 0}
-	tests := []struct {
-		n    int
-		x, y float64
-	}{
-		{0, 7, 7},
-		{1, 3, 6},
-		{3, 1, 8},
-		{-1, 8, 4},
-		{-3, 8, 1},
-	}
-	for _, tt := range tests {
-		if got := Iterate(f, tt.n).At(tt.x); !almost(got, tt.y) {
-			t.Errorf("Iterate(2t, %d)(%v) = %v, want %v", tt.n, tt.x, got, tt.y)
-		}
-	}
-}
-
 func TestIterateComposeLaw(t *testing.T) {
-	// f^(m+n) = f^m ∘ f^n for mixed signs.
-	f := Linear{Rate: 1.5, Off: 0.25}
-	prop := func(mRaw, nRaw int8, x float64) bool {
-		if math.IsNaN(x) || math.Abs(x) > 1e3 {
-			return true
-		}
+	// f^(m+n) = f^m ∘ f^n for mixed signs, exactly.
+	f := NewRatLinear(3, 2, 1, 4) // 1.5t + 0.25
+	prop := func(mRaw, nRaw int8) bool {
 		m, n := int(mRaw)%5, int(nRaw)%5
-		lhs := Iterate(f, m+n).At(x)
-		rhs := Iterate(f, m).At(Iterate(f, n).At(x))
-		return almost(lhs, rhs)
+		return f.IterateRat(m + n).Cmp(f.IterateRat(m).ComposeRat(f.IterateRat(n)))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

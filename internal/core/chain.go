@@ -190,15 +190,17 @@ func (cr *ChainResult) addViolations(link string, vs []Violation) {
 	}
 }
 
-// broken lists, in order, the conditions whose error is non-nil; names
-// holds the conditions' names, one per error, separated by spaces.
-func broken(names string, errs ...error) []Violation {
+// broken lists, in order, the conditions rep reports violated;
+// termination names its first condition (weak agreement calls it
+// choice).
+func broken(rep sim.Report, termination string) []Violation {
 	var vs []Violation
-	for _, err := range errs {
-		var name string
-		name, names, _ = strings.Cut(names, " ")
-		if err != nil {
-			vs = append(vs, Violation{Condition: name, Detail: err.Error()})
+	for _, c := range []struct {
+		name string
+		err  error
+	}{{termination, rep.Termination}, {"agreement", rep.Agreement}, {"validity", rep.Validity}} {
+		if c.err != nil {
+			vs = append(vs, Violation{Condition: c.name, Detail: c.err.Error()})
 		}
 	}
 	return vs
@@ -249,8 +251,7 @@ func baCheck(want string) check {
 // the behavior is correct.
 func weakCheck(allCorrect bool) check {
 	return func(run *sim.Run, correct []string) []Violation {
-		rep := weak.Check(run, correct, allCorrect)
-		return broken("choice agreement validity", rep.Choice, rep.Agreement, rep.Validity)
+		return broken(weak.Check(run, correct, allCorrect), "choice")
 	}
 }
 
@@ -258,22 +259,19 @@ func weakCheck(allCorrect bool) check {
 // when every node of the behavior is correct.
 func firingSquadCheck(allCorrect, stimulated bool) check {
 	return func(run *sim.Run, correct []string) []Violation {
-		rep := firingsquad.Check(run, correct, allCorrect, stimulated)
-		return broken("agreement validity", rep.Agreement, rep.Validity)
+		return broken(firingsquad.Check(run, correct, allCorrect, stimulated), "termination")
 	}
 }
 
 // simpleApproxCheck is simple approximate agreement.
 func simpleApproxCheck(run *sim.Run, correct []string) []Violation {
-	rep := approx.CheckSimple(run, correct)
-	return broken("termination agreement validity", rep.Termination, rep.Agreement, rep.Validity)
+	return broken(approx.CheckSimple(run, correct), "termination")
 }
 
 // edgCheck is (ε,δ,γ)-agreement.
 func edgCheck(p EDGParams) check {
 	return func(run *sim.Run, correct []string) []Violation {
-		rep := approx.CheckEDG(run, correct, p.Eps, p.Gamma)
-		return broken("termination agreement validity", rep.Termination, rep.Agreement, rep.Validity)
+		return broken(approx.CheckEDG(run, correct, p.Eps, p.Gamma), "termination")
 	}
 }
 

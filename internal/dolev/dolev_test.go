@@ -79,7 +79,7 @@ func TestReversePathsMirror(t *testing.T) {
 	}
 }
 
-func overlayTrial(t *testing.T, g *graph.Graph, f, bits int, badNode string, corrupt func(sim.Builder) sim.Builder) byzantine.Report {
+func overlayTrial(t *testing.T, g *graph.Graph, f, bits int, badNode string, corrupt func(sim.Builder) sim.Builder) sim.Report {
 	t.Helper()
 	r, err := NewRouter(g, f)
 	if err != nil {

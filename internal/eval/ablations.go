@@ -5,61 +5,14 @@ import (
 	"math/big"
 	"strings"
 
-	"flm/internal/adversary"
-	"flm/internal/byzantine"
 	"flm/internal/clockfn"
 	"flm/internal/core"
 	"flm/internal/graph"
 	"flm/internal/signed"
 	"flm/internal/sim"
-	"flm/internal/sweep"
 	"flm/internal/timedsim"
 	"flm/internal/weak"
 )
-
-// signedSweep is attackSweep for the signed (Dolev-Strong) devices: every
-// trial needs its own signature registry and honest builder, so the whole
-// per-trial setup moves inside the sweep worker. Signature verification is
-// execution-scoped state, which is exactly why these runs keep full
-// recording off but fresh registries on.
-func signedSweep(g *graph.Graph, f int, bitPatterns []int, seed int64) (passed, total int, err error) {
-	names := g.Names()
-	panelSize := len(adversary.Panel(seed))
-	perPattern := len(names) * panelSize
-	trials := len(bitPatterns) * perPattern
-	results, err := sweep.Map(trials, func(i int) (bool, error) {
-		bits := bitPatterns[i/perPattern]
-		rest := i % perPattern
-		badNode := names[rest/panelSize]
-		strat := adversary.Panel(seed)[rest%panelSize]
-		inputs := make(map[string]sim.Input, len(names))
-		for j, name := range names {
-			inputs[name] = sim.BoolInput(bits&(1<<uint(j)) != 0)
-		}
-		reg := signed.NewRegistry()
-		honest := signed.NewDolevStrong(f, names, reg)
-		trial := byzantine.Trial{
-			G: g, Inputs: inputs, Honest: honest,
-			Faulty: map[string]sim.Builder{badNode: strat.Corrupt(honest)},
-			Rounds: signed.Rounds(f),
-		}
-		_, _, rep, err := trial.RunWith(sim.ExecuteOpts{})
-		if err != nil {
-			return false, err
-		}
-		return rep.OK(), nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, ok := range results {
-		total++
-		if ok {
-			passed++
-		}
-	}
-	return passed, total, nil
-}
 
 // RunE15 mechanizes the Fault-axiom sensitivity: with per-execution
 // unforgeable signatures, Dolev-Strong agreement works on the very
@@ -87,7 +40,11 @@ func RunE15() (*Result, error) {
 		{graph.Complete(4), 1},
 		{graph.Complete(5), 2},
 	} {
-		passed, total, err := signedSweep(c.g, c.f, bitPatternsFor(c.g.N(), 4), 37)
+		// Signature verification is execution-scoped state, so every
+		// trial gets a fresh registry.
+		names := c.g.Names()
+		honest := func() sim.Builder { return signed.NewDolevStrong(c.f, names, signed.NewRegistry()) }
+		passed, total, err := attackSweep(c.g, honest, signed.Rounds(c.f), bitPatternsFor(c.g.N(), 4), 37)
 		if err != nil {
 			return nil, err
 		}

@@ -1,12 +1,10 @@
 package eval
 
 import (
-	"context"
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
-	"flm/internal/adversary"
 	"flm/internal/chaos"
 	"flm/internal/graph"
 	"flm/internal/initdead"
@@ -23,73 +21,37 @@ const (
 	e19MaxDelay   = 2
 )
 
-// E20 parameters: the pinned async smoke pair shared by the CI
-// async-chaos job (`flm chaos -async -deadset -trials 48 -seed 7`) and
-// the chaos package's pinned tests.
+// E20 parameters: the pinned async smoke pair shared by `make
+// chaos-async` (which CI runs) and the chaos package's pinned tests.
 const (
 	e20Seed   = chaos.AsyncSmokeSeed
 	e20Trials = chaos.AsyncSmokeTrials
 )
 
-// e20Opts is the generator mode of the pinned async smoke.
-var e20Opts = chaos.GenOpts{Async: true, Dead: true}
-
-// runInitdead executes the FLP Section 4 protocol on K_n with the given
-// dead set, inputs (in sorted-name order), and delay schedule, and
-// returns the run plus the live-node list.
-func runInitdead(n, t int, dead map[string]bool, inputs []string, delays *sim.DelaySchedule, rounds int) (*sim.Run, []string, error) {
-	g := graph.Complete(n)
-	honest := initdead.New(t)
-	p := sim.Protocol{
-		Builders: make(map[string]sim.Builder, n),
-		Inputs:   make(map[string]sim.Input, n),
-	}
-	var live []string
-	for i, name := range g.Names() {
-		p.Inputs[name] = sim.Input(inputs[i])
-		if dead[name] {
-			p.Builders[name] = adversary.InitiallyDead()
-		} else {
-			p.Builders[name] = honest
-			live = append(live, name)
-		}
-	}
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	run, err := sim.ExecuteWith(sys, rounds, sim.ExecuteOpts{Delays: delays})
-	if err != nil {
-		return nil, nil, err
-	}
-	return run, live, nil
-}
-
 // deadSubsetsUpTo enumerates every subset of names with size <= k, in
-// mask order (deterministic).
-func deadSubsetsUpTo(names []string, k int) []map[string]bool {
-	var out []map[string]bool
-	n := len(names)
-	for mask := 0; mask < 1<<n; mask++ {
-		sub := map[string]bool{}
-		for i := 0; i < n; i++ {
+// mask order (deterministic), as initially-dead chaos actions.
+func deadSubsetsUpTo(names []string, k int) [][]chaos.Action {
+	var out [][]chaos.Action
+	for mask := 0; mask < 1<<len(names); mask++ {
+		if bits.OnesCount(uint(mask)) > k {
+			continue
+		}
+		var sub []chaos.Action
+		for i, name := range names {
 			if mask&(1<<i) != 0 {
-				sub[names[i]] = true
+				sub = append(sub, chaos.Action{Node: name, Strategy: "dead"})
 			}
 		}
-		if len(sub) <= k {
-			out = append(out, sub)
-		}
+		out = append(out, sub)
 	}
 	return out
 }
 
-func deadNames(dead map[string]bool) string {
-	names := make([]string, 0, len(dead))
-	for name := range dead {
-		names = append(names, name)
+func deadNames(dead []chaos.Action) string {
+	names := make([]string, len(dead))
+	for i, a := range dead {
+		names[i] = a.Node
 	}
-	sort.Strings(names)
 	return "{" + strings.Join(names, ",") + "}"
 }
 
@@ -121,25 +83,27 @@ func RunE19() (*Result, error) {
 		row := sizeRow{n: size.n, t: size.t}
 		for _, dead := range deadSubsetsUpTo(names, size.t) {
 			row.subsets++
-			run, live, err := runInitdead(size.n, size.t, dead, alternatingBits(size.n), nil, initdead.Rounds(0))
-			if err != nil {
+			s := chaos.Schedule{Protocol: "initdead", N: size.n, F: size.t,
+				Rounds: initdead.Rounds(0), Inputs: alternatingBits(size.n), Actions: dead}
+			green := func(how string) error {
+				o := chaos.RunSchedule(s)
+				if o.EngineErr != nil {
+					return o.EngineErr
+				}
+				if o.Violation != nil {
+					return fmt.Errorf("n=%d t=%d dead=%s %s: %w", size.n, size.t, deadNames(dead), how, o.Violation)
+				}
+				return nil
+			}
+			if err := green("synchronous"); err != nil {
 				return row, err
 			}
-			if rep := initdead.Check(run, live); !rep.OK() {
-				return row, fmt.Errorf("n=%d t=%d dead=%s synchronous: %w",
-					size.n, size.t, deadNames(dead), rep.Err())
-			}
 			row.syncRuns++
-			rounds := initdead.Rounds(e19MaxDelay)
+			s.Rounds = initdead.Rounds(e19MaxDelay)
 			for seed := int64(1); seed <= e19DelaySeeds; seed++ {
-				delays := sim.SeededDelays(seed, names, rounds, e19MaxDelay)
-				run, live, err := runInitdead(size.n, size.t, dead, alternatingBits(size.n), delays, rounds)
-				if err != nil {
+				s.Delays = sim.SeededDelays(seed, names, s.Rounds, e19MaxDelay).Rules
+				if err := green(fmt.Sprintf("delay seed %d", seed)); err != nil {
 					return row, err
-				}
-				if rep := initdead.Check(run, live); !rep.OK() {
-					return row, fmt.Errorf("n=%d t=%d dead=%s delay seed %d: %w",
-						size.n, size.t, deadNames(dead), seed, rep.Err())
 				}
 				row.delayedRuns++
 			}
@@ -167,18 +131,13 @@ func RunE19() (*Result, error) {
 	impossible := []struct{ n, t int }{{2, 1}, {4, 2}, {6, 3}}
 	witnesses, err := sweep.Map(len(impossible), func(i int) (string, error) {
 		size := impossible[i]
-		names := graph.Complete(size.n).Names()
-		rounds := initdead.Rounds(0) + size.n
-		delays := initdead.PartitionDelays(names, size.t, rounds)
-		inputs := make([]string, size.n)
-		for j := range inputs {
-			if j < size.n-size.t {
-				inputs[j] = "0"
-			} else {
-				inputs[j] = "1"
-			}
+		g := graph.Complete(size.n)
+		inputs := make(map[string]sim.Input, size.n)
+		for j, name := range g.Names() {
+			inputs[name] = sim.BoolInput(j >= size.n-size.t)
 		}
-		run, live, err := runInitdead(size.n, size.t, nil, inputs, delays, rounds)
+		trial := sim.Trial{G: g, Inputs: inputs, Honest: initdead.New(size.t), Rounds: initdead.Rounds(0) + size.n}
+		run, live, err := trial.Run(sim.ExecuteOpts{Delays: initdead.PartitionDelays(g.Names(), size.t, trial.Rounds)})
 		if err != nil {
 			return "", err
 		}
@@ -223,39 +182,6 @@ func RunE19() (*Result, error) {
 // violation is shrunk — delay rules included — to a 1-minimal
 // counterexample.
 func RunE20() (*Result, error) {
-	rep, err := chaos.Run(context.Background(), chaos.Config{
-		Seed: e20Seed, Trials: e20Trials, Async: true, Dead: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !rep.OK() {
-		return nil, fmt.Errorf("async chaos panel found unexpected failures:\n%s", rep.Render())
-	}
-
-	type tally struct{ trials, adequate, delayed, violations int }
-	byProto := map[string]*tally{}
-	protoOrder := []string{}
-	for i := 0; i < e20Trials; i++ {
-		s := chaos.NewScheduleWith(e20Seed, i, e20Opts)
-		tl := byProto[s.Protocol]
-		if tl == nil {
-			tl = &tally{}
-			byProto[s.Protocol] = tl
-			protoOrder = append(protoOrder, s.Protocol)
-		}
-		tl.trials++
-		if s.Adequate {
-			tl.adequate++
-		}
-		if len(s.Delays) > 0 {
-			tl.delayed++
-		}
-	}
-	for _, f := range rep.Expected {
-		byProto[f.Schedule.Protocol].violations++
-	}
-
 	panel := &Table{
 		Title:   fmt.Sprintf("Async chaos panel (seed %d, %d trials): delay schedules + initially-dead subsets", e20Seed, e20Trials),
 		Columns: []string{"protocol", "trials", "adequate", "delayed", "violations", "all adequate green"},
@@ -265,11 +191,6 @@ func RunE20() (*Result, error) {
 			"initdead trials are adequate iff n > 2t; inadequate ones may draw the partition schedule with split inputs",
 		},
 	}
-	for _, p := range protoOrder {
-		tl := byProto[p]
-		panel.AddRow(p, tl.trials, tl.adequate, tl.delayed, tl.violations, true)
-	}
-
 	findings := &Table{
 		Title:   "Shrunk counterexamples (minimal faulty actions + delay rules that still violate)",
 		Columns: []string{"trial", "schedule", "violated condition", "shrunk"},
@@ -277,13 +198,9 @@ func RunE20() (*Result, error) {
 			"delay rules shrink too: ddmin-style chunk removal to 1-minimality, then per-rule extra-delay weakening",
 		},
 	}
-	for _, f := range rep.Expected {
-		shrunk := "-"
-		if f.Shrunk != nil {
-			shrunk = fmt.Sprintf("%d fault(s) + %d rule(s): %s",
-				len(f.Shrunk.Actions), len(f.Shrunk.Delays), f.Shrunk.Describe())
-		}
-		findings.AddRow(f.Trial, f.Schedule.Describe(), f.Violation, shrunk)
+	rep, err := chaosPanel(chaos.Config{Seed: e20Seed, Trials: e20Trials, Async: true, Dead: true}, panel, findings)
+	if err != nil {
+		return nil, err
 	}
 
 	return &Result{

@@ -4,98 +4,49 @@ import (
 	"fmt"
 	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
 	"flm/internal/chaos"
 )
 
-// The chaos smoke commands are pinned in four places: the exported
-// constants in internal/chaos, the E18/E20 experiments here, the CI
-// workflow file, and the Makefile defaults. The chaos and eval sides
-// are tied by construction (the consts alias chaos's); these tests
-// parse the two config files so the remaining legs cannot drift
-// silently either.
+// The chaos smoke pairs are pinned in three places: the exported
+// constants in internal/chaos, the E18/E20 experiments here, and the
+// Makefile defaults that CI runs through `make chaos` and
+// `make chaos-async`. The chaos and eval sides are tied by construction
+// (the consts alias chaos's); these tests parse the workflow and the
+// Makefile so the remaining leg cannot drift silently either.
 
-// chaosInvocation captures one `flm chaos` command line's pinned knobs.
-type chaosInvocation struct {
-	seed   int64
-	trials int
-	async  bool
-}
-
-// chaosCommands extracts every `flm chaos` invocation from a file. The
-// seed/trials flags may appear in either order; -async marks the
-// adversarial-asynchrony smoke.
-func chaosCommands(t *testing.T, path string) []chaosInvocation {
-	t.Helper()
-	data, err := os.ReadFile(path)
+// TestCIChaosSmokePinned: the workflow's chaos smoke job runs the
+// Makefile's chaos and chaos-async targets and names no seed or trial
+// count of its own, and those recipes pass the pinned Makefile defaults
+// (TestMakefileChaosDefaultsPinned) to flm chaos, the async one with
+// -async -deadset (and therefore exactly what E18 and E20 record).
+func TestCIChaosSmokePinned(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := regexp.MustCompile(`(?m)flm chaos[^\n]*`)
-	seedRe := regexp.MustCompile(`-seed\s+\$?\(?([A-Z_0-9]+\)?|\d+)`)
-	trialsRe := regexp.MustCompile(`-trials\s+(\d+)`)
-	seedNum := regexp.MustCompile(`-seed\s+(\d+)`)
-	var out []chaosInvocation
-	for _, cmd := range line.FindAllString(string(data), -1) {
-		inv := chaosInvocation{async: regexp.MustCompile(`-async\b`).MatchString(cmd)}
-		if m := seedNum.FindStringSubmatch(cmd); m != nil {
-			n, err := strconv.ParseInt(m[1], 10, 64)
-			if err != nil {
-				t.Fatalf("%s: bad seed in %q: %v", path, cmd, err)
-			}
-			inv.seed = n
-		} else if seedRe.MatchString(cmd) {
-			// Variable reference (Makefile recipe body) — resolved by
-			// the caller against the file's defaults.
-			inv.seed = -1
-		} else {
-			t.Fatalf("%s: chaos command without a -seed flag: %q", path, cmd)
-		}
-		if m := trialsRe.FindStringSubmatch(cmd); m != nil {
-			n, err := strconv.Atoi(m[1])
-			if err != nil {
-				t.Fatalf("%s: bad trials in %q: %v", path, cmd, err)
-			}
-			inv.trials = n
-		} else {
-			inv.trials = -1
-		}
-		out = append(out, inv)
-	}
-	if len(out) == 0 {
-		t.Fatalf("%s: no `flm chaos` commands found", path)
-	}
-	return out
-}
-
-// TestCIChaosSmokePinned: the workflow's two chaos smoke runs use
-// exactly the exported pinned pairs (and therefore exactly what E18 and
-// E20 record).
-func TestCIChaosSmokePinned(t *testing.T) {
-	syncSeen, asyncSeen := false, false
-	for _, inv := range chaosCommands(t, "../../.github/workflows/ci.yml") {
-		if inv.async {
-			asyncSeen = true
-			if inv.seed != chaos.AsyncSmokeSeed || inv.trials != chaos.AsyncSmokeTrials {
-				t.Errorf("CI async chaos smoke runs seed=%d trials=%d, pinned pair is seed=%d trials=%d",
-					inv.seed, inv.trials, chaos.AsyncSmokeSeed, chaos.AsyncSmokeTrials)
-			}
-		} else {
-			syncSeen = true
-			if inv.seed != chaos.SmokeSeed || inv.trials != chaos.SmokeTrials {
-				t.Errorf("CI chaos smoke runs seed=%d trials=%d, pinned pair is seed=%d trials=%d",
-					inv.seed, inv.trials, chaos.SmokeSeed, chaos.SmokeTrials)
-			}
+	job := ciJob(t, string(data), "chaos-smoke")
+	for _, target := range []string{"chaos", "chaos-async"} {
+		if !regexp.MustCompile(`(?m)run:\s+make ` + target + `\s*$`).MatchString(job) {
+			t.Errorf("CI chaos-smoke job no longer runs make %s", target)
 		}
 	}
-	if !syncSeen {
-		t.Error("CI workflow has no synchronous chaos smoke run")
+	if regexp.MustCompile(`flm chaos`).Match(data) {
+		t.Error("CI workflow runs flm chaos itself; the pinned pairs belong to the make targets")
 	}
-	if !asyncSeen {
-		t.Error("CI workflow has no async chaos smoke run")
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for target, pattern := range map[string]string{
+		"chaos":       `flm chaos -seed \$\(CHAOS_SEED\) -trials \$\(CHAOS_TRIALS\)\s*$`,
+		"chaos-async": `flm chaos -async -deadset -seed \$\(ASYNC_CHAOS_SEED\) -trials \$\(ASYNC_CHAOS_TRIALS\)\s*$`,
+	} {
+		if !regexp.MustCompile(`(?m)` + pattern).MatchString(recipe(t, string(makefile), target)) {
+			t.Errorf("make %s no longer runs the pinned smoke (pattern %q)", target, pattern)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func frontierVerdict(g *graph.Graph, f int) (string, error) {
 		} else {
 			honest = byzantine.NewEIG(f, g.Names())
 		}
-		passed, total, err := attackSweep(g, honest, rounds, bitPatternsFor(g.N(), 2), 47)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, rounds, bitPatternsFor(g.N(), 2), 47)
 		if err != nil {
 			return "", err
 		}

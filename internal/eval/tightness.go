@@ -16,27 +16,19 @@ import (
 	"flm/internal/weak"
 )
 
-// attackSweep runs the trial for every (input pattern, faulty node,
-// strategy) combination and returns passed/total counts. The adversary
-// panel and its corrupted builders are constructed once for the whole
-// sweep (the Corrupt wrappers are stateless builder factories), and the
-// input assignment is built once per bit pattern and shared read-only by
-// that pattern's trials via the grouped sweep. Each trial still builds
-// its own System and runs the simulator in decision-only fast mode;
-// results (including the first failing condition) are collected in
-// trial-index order, so the outcome is identical to the sequential loop.
-func attackSweep(g *graph.Graph, honest sim.Builder, rounds int, bitPatterns []int, seed int64) (passed, total int, firstErr error) {
+// attackSweep runs a Byzantine agreement trial for every (input
+// pattern, faulty node, strategy) combination and returns passed/total
+// counts. honest returns one trial's honest builder: the signed devices
+// need a fresh signature registry per execution, and every other caller
+// returns one shared builder. Each input assignment is built once per
+// bit pattern and shared read-only by that pattern's trials via the
+// grouped sweep. Each trial runs the simulator in decision-only fast
+// mode, and results are collected in trial-index order, so the outcome
+// is identical to the sequential loop.
+func attackSweep(g *graph.Graph, honest func() sim.Builder, rounds int, bitPatterns []int, seed int64) (passed, total int, err error) {
 	names := g.Names()
 	panel := adversary.Panel(seed)
-	corrupted := make([]sim.Builder, len(panel))
-	for i, strat := range panel {
-		corrupted[i] = strat.Corrupt(honest)
-	}
 	perPattern := len(names) * len(panel)
-	type outcome struct {
-		ok      bool
-		condErr error
-	}
 	sizes := make([]int, len(bitPatterns))
 	for i := range sizes {
 		sizes[i] = perPattern
@@ -50,31 +42,26 @@ func attackSweep(g *graph.Graph, honest sim.Builder, rounds int, bitPatterns []i
 			}
 			return inputs
 		},
-		func(p, rest int, inputs map[string]sim.Input) (outcome, error) {
-			badNode := names[rest/len(panel)]
+		func(p, rest int, inputs map[string]sim.Input) (bool, error) {
+			h := honest()
 			trial := byzantine.Trial{
 				G:      g,
 				Inputs: inputs,
-				Honest: honest,
-				Faulty: map[string]sim.Builder{badNode: corrupted[rest%len(panel)]},
+				Honest: h,
+				Faulty: map[string]sim.Builder{names[rest/len(panel)]: panel[rest%len(panel)].Corrupt(h)},
 				Rounds: rounds,
 			}
 			_, _, rep, err := trial.RunWith(sim.ExecuteOpts{})
-			if err != nil {
-				return outcome{}, err
-			}
-			return outcome{ok: rep.OK(), condErr: rep.Err()}, nil
+			return rep.OK(), err
 		})
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, group := range grouped {
-		for _, o := range group {
+		for _, ok := range group {
 			total++
-			if o.ok {
+			if ok {
 				passed++
-			} else if firstErr == nil {
-				firstErr = o.condErr
 			}
 		}
 	}
@@ -107,7 +94,7 @@ func RunE9() (*Result, error) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {5, 1}, {6, 1}, {7, 2}, {8, 2}} {
 		g := graph.Complete(c.n)
 		honest := byzantine.NewEIG(c.f, g.Names())
-		passed, total, err := attackSweep(g, honest, byzantine.EIGRounds(c.f), bitPatternsFor(c.n, 4), 7)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, byzantine.EIGRounds(c.f), bitPatternsFor(c.n, 4), 7)
 		if err != nil {
 			return nil, err
 		}
@@ -141,7 +128,7 @@ func RunE9() (*Result, error) {
 	for _, c := range []struct{ n, f int }{{5, 1}, {6, 1}, {9, 2}} {
 		g := graph.Complete(c.n)
 		honest := byzantine.NewPhaseKing(c.f, g.Names())
-		passed, total, err := attackSweep(g, honest, byzantine.PhaseKingRounds(c.f), bitPatternsFor(c.n, 3), 11)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, byzantine.PhaseKingRounds(c.f), bitPatternsFor(c.n, 3), 11)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +143,7 @@ func RunE9() (*Result, error) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		g := graph.Complete(c.n)
 		honest := byzantine.NewTurpinCoan(c.f, g.Names())
-		passed, total, err := attackSweep(g, honest, byzantine.TurpinCoanRounds(c.f), bitPatternsFor(c.n, 3), 15)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, byzantine.TurpinCoanRounds(c.f), bitPatternsFor(c.n, 3), 15)
 		if err != nil {
 			return nil, err
 		}
@@ -171,33 +158,29 @@ func RunE9() (*Result, error) {
 		Title:   "Communication cost per fault-free run (messages / payload bytes / max payload)",
 		Columns: []string{"protocol", "n", "f", "rounds", "messages", "bytes", "max payload"},
 	}
-	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}} {
-		g := graph.Complete(c.n)
-		inputs := make(map[string]sim.Input, c.n)
-		for i, name := range g.Names() {
-			inputs[name] = sim.BoolInput(i%2 == 0)
+	for _, p := range []struct {
+		name   string
+		sizes  []struct{ n, f int }
+		honest func(f int, peers []string) sim.Builder
+		rounds func(f int) int
+	}{
+		{"eig", []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}}, byzantine.NewEIG, byzantine.EIGRounds},
+		{"phase-king", []struct{ n, f int }{{5, 1}, {9, 2}, {13, 3}}, byzantine.NewPhaseKing, byzantine.PhaseKingRounds},
+	} {
+		for _, c := range p.sizes {
+			g := graph.Complete(c.n)
+			inputs := make(map[string]sim.Input, c.n)
+			for i, name := range g.Names() {
+				inputs[name] = sim.BoolInput(i%2 == 0)
+			}
+			trial := sim.Trial{G: g, Inputs: inputs, Honest: p.honest(c.f, g.Names()), Rounds: p.rounds(c.f)}
+			run, _, err := trial.Run(sim.FullRecording)
+			if err != nil {
+				return nil, err
+			}
+			st := sim.CollectStats(run)
+			mc.AddRow(p.name, c.n, c.f, st.Rounds, st.Messages, st.Bytes, st.MaxPayload)
 		}
-		trial := byzantine.Trial{G: g, Inputs: inputs, Honest: byzantine.NewEIG(c.f, g.Names()), Rounds: byzantine.EIGRounds(c.f)}
-		run, _, _, err := trial.Run()
-		if err != nil {
-			return nil, err
-		}
-		st := sim.CollectStats(run)
-		mc.AddRow("eig", c.n, c.f, st.Rounds, st.Messages, st.Bytes, st.MaxPayload)
-	}
-	for _, c := range []struct{ n, f int }{{5, 1}, {9, 2}, {13, 3}} {
-		g := graph.Complete(c.n)
-		inputs := make(map[string]sim.Input, c.n)
-		for i, name := range g.Names() {
-			inputs[name] = sim.BoolInput(i%2 == 0)
-		}
-		trial := byzantine.Trial{G: g, Inputs: inputs, Honest: byzantine.NewPhaseKing(c.f, g.Names()), Rounds: byzantine.PhaseKingRounds(c.f)}
-		run, _, _, err := trial.Run()
-		if err != nil {
-			return nil, err
-		}
-		st := sim.CollectStats(run)
-		mc.AddRow("phase-king", c.n, c.f, st.Rounds, st.Messages, st.Bytes, st.MaxPayload)
 	}
 	res.Tables = append(res.Tables, mc)
 
@@ -213,7 +196,7 @@ func RunE9() (*Result, error) {
 	for n := 4; n <= 7; n++ {
 		g := graph.Complete(n)
 		honest := byzantine.NewEIG(1, g.Names())
-		passed, total, err := attackSweep(g, honest, byzantine.EIGRounds(1), bitPatternsFor(n, 4), 13)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, byzantine.EIGRounds(1), bitPatternsFor(n, 4), 13)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +237,7 @@ func RunE10() (*Result, error) {
 			return nil, fmt.Errorf("router for %s: %w", c.name, err)
 		}
 		honest := dolev.Overlay(r, byzantine.NewEIG(c.f, c.g.Names()))
-		passed, total, err := attackSweep(c.g, honest, r.Rounds(byzantine.EIGRounds(c.f)), bitPatternsFor(c.g.N(), 2), 17)
+		passed, total, err := attackSweep(c.g, func() sim.Builder { return honest }, r.Rounds(byzantine.EIGRounds(c.f)), bitPatternsFor(c.g.N(), 2), 17)
 		if err != nil {
 			return nil, err
 		}
@@ -297,12 +280,12 @@ func RunE11() (*Result, error) {
 		honest := approx.NewDLPSW(1, g.Names(), rounds)
 		equiv := adversary.Equivocate(honest, sim.RealInput(0), sim.RealInput(1),
 			func(nb string) bool { return nb == "p0" || nb == "p1" })
-		trial := byzantine.Trial{
+		trial := sim.Trial{
 			G: g, Inputs: inputs, Honest: honest,
 			Faulty: map[string]sim.Builder{"p3": equiv},
 			Rounds: approx.DLPSWRounds(rounds),
 		}
-		run, correct, _, err := trial.Run()
+		run, correct, err := trial.Run(sim.FullRecording)
 		if err != nil {
 			return nil, err
 		}
@@ -338,8 +321,8 @@ func RunE11() (*Result, error) {
 		for i, name := range g.Names() {
 			inputs[name] = sim.RealInput(c.delta * float64(i) / float64(c.n-1))
 		}
-		trial := byzantine.Trial{G: g, Inputs: inputs, Honest: honest, Rounds: approx.DLPSWRounds(rounds)}
-		run, correct, _, err := trial.Run()
+		trial := sim.Trial{G: g, Inputs: inputs, Honest: honest, Rounds: approx.DLPSWRounds(rounds)}
+		run, correct, err := trial.Run(sim.FullRecording)
 		if err != nil {
 			return nil, err
 		}
@@ -363,12 +346,12 @@ func RunE11() (*Result, error) {
 	}
 	equiv := adversary.Equivocate(honestSparse, sim.RealInput(0), sim.RealInput(1),
 		func(nb string) bool { return nb < "w3" })
-	trialSparse := byzantine.Trial{
+	trialSparse := sim.Trial{
 		G: sparse, Inputs: inputsSparse, Honest: honestSparse,
 		Faulty: map[string]sim.Builder{"w5": equiv},
 		Rounds: router.Rounds(approx.DLPSWRounds(iterations)),
 	}
-	runSparse, correctSparse, _, err := trialSparse.Run()
+	runSparse, correctSparse, err := trialSparse.Run(sim.FullRecording)
 	if err != nil {
 		return nil, err
 	}
@@ -398,31 +381,24 @@ func RunE12() (*Result, error) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		g := graph.Complete(c.n)
 		honest := firingsquad.NewViaBA(c.f, g.Names())
+		inputs := make(map[string]sim.Input, c.n)
+		for _, name := range g.Names() {
+			inputs[name] = sim.BoolInput(name == g.Name(0))
+		}
 		okAll := true
 		configs := 0
 		for _, badNode := range g.Names() {
 			for _, strat := range adversary.Panel(29) {
-				p := sim.Protocol{Builders: map[string]sim.Builder{}, Inputs: map[string]sim.Input{}}
-				var correct []string
-				for _, name := range g.Names() {
-					p.Inputs[name] = sim.BoolInput(name == g.Name(0))
-					if name == badNode {
-						p.Builders[name] = strat.Corrupt(honest)
-					} else {
-						p.Builders[name] = honest
-						correct = append(correct, name)
-					}
+				trial := sim.Trial{
+					G: g, Inputs: inputs, Honest: honest,
+					Faulty: map[string]sim.Builder{badNode: strat.Corrupt(honest)},
+					Rounds: firingsquad.Rounds(c.f) + 2,
 				}
-				sys, err := sim.NewSystem(g, p)
+				run, correct, err := trial.Run(sim.ExecuteOpts{})
 				if err != nil {
 					return nil, err
 				}
-				run, err := sim.Execute(sys, firingsquad.Rounds(c.f)+2)
-				if err != nil {
-					return nil, err
-				}
-				rep := firingsquad.Check(run, correct, false, true)
-				if rep.Agreement != nil {
+				if firingsquad.Check(run, correct, false, true).Agreement != nil {
 					okAll = false
 				}
 				configs++
@@ -439,7 +415,7 @@ func RunE12() (*Result, error) {
 	for _, c := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		g := graph.Complete(c.n)
 		honest := weak.NewViaBA(c.f, g.Names())
-		passed, total, err := attackSweep(g, honest, byzantine.EIGRounds(c.f), bitPatternsFor(c.n, 3), 31)
+		passed, total, err := attackSweep(g, func() sim.Builder { return honest }, byzantine.EIGRounds(c.f), bitPatternsFor(c.n, 3), 31)
 		if err != nil {
 			return nil, err
 		}

@@ -214,28 +214,12 @@ func (d *countdown) Output() (sim.Decision, bool) {
 	return sim.Decision{Value: Fired}, true
 }
 
-// Report records the firing squad conditions for one run.
-type Report struct {
-	Agreement error // all correct nodes fire at the same round, or none fire
-	Validity  error // (all-correct runs) fire iff some node was stimulated
-}
-
-// OK reports whether every condition holds.
-func (r Report) OK() bool { return r.Agreement == nil && r.Validity == nil }
-
-// Err returns the first violated condition, or nil.
-func (r Report) Err() error {
-	if r.Agreement != nil {
-		return r.Agreement
-	}
-	return r.Validity
-}
-
 // Check evaluates the firing squad conditions. allCorrect states whether
 // every node of the system is correct (the only case validity binds);
-// stimulated reports whether any node received the stimulus.
-func Check(run *sim.Run, correct []string, allCorrect, stimulated bool) Report {
-	var rep Report
+// stimulated reports whether any node received the stimulus. The
+// problem has no termination condition, so Termination stays nil.
+func Check(run *sim.Run, correct []string, allCorrect, stimulated bool) sim.Report {
+	var rep sim.Report
 	fireRound := -2 // -2 unset, -1 none
 	for _, name := range correct {
 		d, err := run.DecisionOf(name)

@@ -11,22 +11,12 @@ import (
 func runFS(t *testing.T, g *graph.Graph, honest sim.Builder, stimulated map[string]bool,
 	faulty map[string]sim.Builder, rounds int) (*sim.Run, []string) {
 	t.Helper()
-	p := sim.Protocol{Builders: map[string]sim.Builder{}, Inputs: map[string]sim.Input{}}
-	var correct []string
+	inputs := make(map[string]sim.Input, g.N())
 	for _, name := range g.Names() {
-		p.Inputs[name] = sim.BoolInput(stimulated[name])
-		if fb, bad := faulty[name]; bad {
-			p.Builders[name] = fb
-		} else {
-			p.Builders[name] = honest
-			correct = append(correct, name)
-		}
+		inputs[name] = sim.BoolInput(stimulated[name])
 	}
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Execute(sys, rounds)
+	trial := sim.Trial{G: g, Inputs: inputs, Honest: honest, Faulty: faulty, Rounds: rounds}
+	run, correct, err := trial.Run(sim.FullRecording)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -22,12 +21,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diameter
-}
-
-// Distance returns the shortest-path distance between u and v, or -1 if
-// unreachable.
-func (g *Graph) Distance(u, v int) int {
-	return g.bfsDistances(u)[v]
 }
 
 func (g *Graph) bfsDistances(s int) []int {
@@ -50,30 +43,6 @@ func (g *Graph) bfsDistances(s int) []int {
 	return dist
 }
 
-// DegreeSequence returns the sorted (descending) degree sequence.
-func (g *Graph) DegreeSequence() []int {
-	seq := make([]int, g.N())
-	for u := range seq {
-		seq[u] = g.Degree(u)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(seq)))
-	return seq
-}
-
-// MinDegree returns the smallest node degree (0 for the empty graph).
-func (g *Graph) MinDegree() int {
-	if g.N() == 0 {
-		return 0
-	}
-	minDeg := g.Degree(0)
-	for u := 1; u < g.N(); u++ {
-		if d := g.Degree(u); d < minDeg {
-			minDeg = d
-		}
-	}
-	return minDeg
-}
-
 // IsRegular reports whether every node has the same degree.
 func (g *Graph) IsRegular() bool {
 	if g.N() == 0 {
@@ -86,25 +55,6 @@ func (g *Graph) IsRegular() bool {
 		}
 	}
 	return true
-}
-
-// DOT renders the graph in Graphviz DOT format (undirected view), for
-// visualizing coverings and cuts.
-func (g *Graph) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "graph %q {\n", name)
-	for u := 0; u < g.N(); u++ {
-		fmt.Fprintf(&b, "  %q;\n", g.names[u])
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.adj[u] {
-			if u < v {
-				fmt.Fprintf(&b, "  %q -- %q;\n", g.names[u], g.names[v])
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // DOT renders the covering in DOT format with fibers grouped by color

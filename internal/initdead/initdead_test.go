@@ -16,32 +16,23 @@ import (
 func runTrial(t *testing.T, n, tFaults int, dead map[string]bool, inputs []string, delays *sim.DelaySchedule, rounds int) (*sim.Run, []string) {
 	t.Helper()
 	g := graph.Complete(n)
-	names := g.Names()
+	trial := sim.Trial{
+		G:      g,
+		Inputs: make(map[string]sim.Input, n),
+		Honest: New(tFaults),
+		Faulty: make(map[string]sim.Builder, len(dead)),
+		Rounds: rounds,
+	}
+	for i, name := range g.Names() {
+		trial.Inputs[name] = sim.Input(inputs[i])
+	}
 	for d := range dead {
 		if _, ok := g.Index(d); !ok {
 			t.Fatalf("dead set names unknown node %q", d)
 		}
+		trial.Faulty[d] = adversary.InitiallyDead()
 	}
-	honest := New(tFaults)
-	p := sim.Protocol{
-		Builders: make(map[string]sim.Builder, n),
-		Inputs:   make(map[string]sim.Input, n),
-	}
-	var live []string
-	for i, name := range names {
-		p.Inputs[name] = sim.Input(inputs[i])
-		if dead[name] {
-			p.Builders[name] = adversary.InitiallyDead()
-		} else {
-			p.Builders[name] = honest
-			live = append(live, name)
-		}
-	}
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.ExecuteWith(sys, rounds, sim.ExecuteOpts{Delays: delays})
+	run, live, err := trial.Run(sim.ExecuteOpts{Delays: delays})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,39 +7,13 @@ import (
 	"flm/internal/sim"
 )
 
-// Report records which consensus conditions a run satisfied for a given
-// live-node set. A nil field means the condition holds.
-type Report struct {
-	Termination error // every live node decided
-	Agreement   error // all live decisions equal
-	Validity    error // the decision is some live node's input, and a
-	// unanimous live input forces that output
-}
-
-// OK reports whether every condition holds.
-func (r Report) OK() bool { return r.Termination == nil && r.Agreement == nil && r.Validity == nil }
-
-// Err returns the first violated condition, or nil.
-func (r Report) Err() error {
-	switch {
-	case r.Termination != nil:
-		return r.Termination
-	case r.Agreement != nil:
-		return r.Agreement
-	case r.Validity != nil:
-		return r.Validity
-	default:
-		return nil
-	}
-}
-
 // Check evaluates the initially-dead consensus conditions on a run with
 // the given live nodes (every other node is presumed dead and ignored).
 // Validity here is strong: the decided value must be the input of some
 // live node — the protocol's clique members are live by construction —
 // which subsumes the unanimity form.
-func Check(run *sim.Run, live []string) Report {
-	var rep Report
+func Check(run *sim.Run, live []string) sim.Report {
+	var rep sim.Report
 	if len(live) == 0 {
 		rep.Termination = fmt.Errorf("initdead: no live nodes to check")
 		return rep

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,11 +9,11 @@ import (
 // This file is the metrics half of the layer: named atomic counters,
 // gauges, and histograms, registered once at package init of the
 // instrumented subsystem and snapshotable as JSON (the trace file's
-// final "metrics" line) or expvar-style text. Updating a metric is an
-// atomic op — no locks, no allocation — so instrumented hot paths may
-// tick them unconditionally; by convention the engine only does so on
-// its traced paths, keeping the disabled engine byte-for-byte identical
-// to the uninstrumented one.
+// final "metrics" line). Updating a metric is an atomic op — no locks,
+// no allocation — so instrumented hot paths may tick them
+// unconditionally; by convention the engine only does so on its traced
+// paths, keeping the disabled engine byte-for-byte identical to the
+// uninstrumented one.
 
 // Counter is a monotonically increasing counter.
 type Counter struct {
@@ -182,8 +180,9 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Reset zeroes every registered series (the series themselves stay
-// registered, so pointers held by instrumented code remain valid). Used
-// by per-command isolation in the CLI and by tests.
+// registered, so pointers held by instrumented code remain valid). Only
+// tests call it, to read the metrics of one run from zero; the CLI runs
+// one command per process.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -208,28 +207,6 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// WriteText renders the snapshot in expvar-style lines
-// ("name value\n"; histograms as count/mean/max), sorted by name.
-func (s Snapshot) WriteText(w io.Writer) error {
-	for _, name := range sortedKeys(s.Counters) {
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Gauges[name]); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(s.Hists) {
-		h := s.Hists[name]
-		if _, err := fmt.Fprintf(w, "%s count=%d mean=%.1f max=%d\n", name, h.Count, h.Mean(), h.Max); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // AppendJSON renders the snapshot as the body of a metrics record

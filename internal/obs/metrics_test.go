@@ -63,15 +63,6 @@ func TestSnapshotRendering(t *testing.T) {
 	r.NewHistogram("lat").Observe(10)
 	s := r.Snapshot()
 
-	var text bytes.Buffer
-	if err := s.WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	want := "a.count 1\nb.count 3\ndepth -2\nlat count=1 mean=10.0 max=10\n"
-	if text.String() != want {
-		t.Errorf("WriteText:\n%q\nwant\n%q", text.String(), want)
-	}
-
 	body := s.AppendJSON(nil)
 	var decoded struct {
 		Counters map[string]uint64 `json:"counters"`

@@ -160,9 +160,6 @@ func SetTracer(t *Tracer) (restore func()) {
 	return func() { active.Store(prev) }
 }
 
-// Active returns the installed tracer, or nil.
-func Active() *Tracer { return active.Load() }
-
 // Enabled reports whether a tracer is installed. Hot paths branch on
 // this before building any attributes.
 func Enabled() bool { return active.Load() != nil }

@@ -377,24 +377,6 @@ func neighborNames(g *graph.Graph, u int) []string {
 	return names
 }
 
-// TicksOf returns the tick records of the named node.
-func (r *Run) TicksOf(name string) ([]TickRecord, error) {
-	u, ok := r.G.Index(name)
-	if !ok {
-		return nil, fmt.Errorf("timedsim: run has no node %q", name)
-	}
-	return r.Ticks[u], nil
-}
-
-// LogicalOf returns the named node's logical clock value at time Until.
-func (r *Run) LogicalOf(name string) (float64, error) {
-	u, ok := r.G.Index(name)
-	if !ok {
-		return 0, fmt.Errorf("timedsim: run has no node %q", name)
-	}
-	return r.FinalLogical[u], nil
-}
-
 // renamedDevice adapts a device built for a node of G to run at a node of
 // a covering graph S, translating neighbor names both ways (the timed
 // counterpart of the synchronous renamer). It hands the device each

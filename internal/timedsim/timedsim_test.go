@@ -329,24 +329,6 @@ func TestExecuteValidation(t *testing.T) {
 	}
 }
 
-func TestRunAccessors(t *testing.T) {
-	sys := lineSystem(clockfn.RatIdentity(), clockfn.RatIdentity())
-	run, err := Execute(sys, rat(2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := run.TicksOf("nope"); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if _, err := run.LogicalOf("nope"); err == nil {
-		t.Error("unknown node accepted")
-	}
-	v, err := run.LogicalOf("l0")
-	if err != nil || v != 2 {
-		t.Errorf("LogicalOf(l0) = %v, %v (beacon logical = hw = until)", v, err)
-	}
-}
-
 func TestRenamedDeviceTranslates(t *testing.T) {
 	inner := &beacon{}
 	inner.Init("g", []string{"gn"})

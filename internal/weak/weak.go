@@ -204,37 +204,17 @@ func (d *detectDefault) Output() (sim.Decision, bool) {
 	return sim.Decision{Value: d.decision}, true
 }
 
-// Report records the weak agreement conditions for one run.
-type Report struct {
-	Choice    error // every correct node decided within the horizon
-	Agreement error // all correct decisions equal
-	Validity  error // all-correct unanimous runs must choose the input
-}
-
-// OK reports whether every condition holds.
-func (r Report) OK() bool { return r.Choice == nil && r.Agreement == nil && r.Validity == nil }
-
-// Err returns the first violated condition, or nil.
-func (r Report) Err() error {
-	switch {
-	case r.Choice != nil:
-		return r.Choice
-	case r.Agreement != nil:
-		return r.Agreement
-	default:
-		return r.Validity
-	}
-}
-
 // Check evaluates weak agreement on a run. allCorrect states whether
 // every node of the system is correct (the only case validity binds).
-func Check(run *sim.Run, correct []string, allCorrect bool) Report {
-	var rep Report
+// Termination is the paper's choice condition: every correct node
+// decided within the horizon.
+func Check(run *sim.Run, correct []string, allCorrect bool) sim.Report {
+	var rep sim.Report
 	decisions := make(map[string]string, len(correct))
 	for _, name := range correct {
 		d, err := run.DecisionOf(name)
 		if err != nil || d.Value == "" {
-			rep.Choice = fmt.Errorf("weak: correct node %s never chose within the horizon", name)
+			rep.Termination = fmt.Errorf("weak: correct node %s never chose within the horizon", name)
 			return rep
 		}
 		decisions[name] = d.Value

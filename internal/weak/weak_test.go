@@ -12,21 +12,8 @@ import (
 func runWeak(t *testing.T, g *graph.Graph, honest sim.Builder, inputs map[string]sim.Input,
 	faulty map[string]sim.Builder, rounds int) (*sim.Run, []string) {
 	t.Helper()
-	p := sim.Protocol{Builders: map[string]sim.Builder{}, Inputs: inputs}
-	var correct []string
-	for _, name := range g.Names() {
-		if fb, bad := faulty[name]; bad {
-			p.Builders[name] = fb
-		} else {
-			p.Builders[name] = honest
-			correct = append(correct, name)
-		}
-	}
-	sys, err := sim.NewSystem(g, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Execute(sys, rounds)
+	trial := sim.Trial{G: g, Inputs: inputs, Honest: honest, Faulty: faulty, Rounds: rounds}
+	run, correct, err := trial.Run(sim.FullRecording)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +72,7 @@ func TestDetectDefaultFaultFreeMixedFallsToDefault(t *testing.T) {
 	rep := Check(run, correct, true)
 	// Mixed inputs: weak validity does not bind; everyone detects
 	// disagreement and defaults, so agreement holds.
-	if rep.Agreement != nil || rep.Choice != nil {
+	if rep.Agreement != nil || rep.Termination != nil {
 		t.Errorf("mixed inputs: %v", rep.Err())
 	}
 	for _, name := range correct {
@@ -101,7 +88,7 @@ func TestDetectDefaultSilentFaultTriggersDefault(t *testing.T) {
 	run, correct := runWeak(t, g, NewDetectDefault(3), inputsBits(g, 0x7),
 		map[string]sim.Builder{"c": adversary.Silent()}, 6)
 	rep := Check(run, correct, false)
-	if rep.Agreement != nil || rep.Choice != nil {
+	if rep.Agreement != nil || rep.Termination != nil {
 		t.Errorf("silent fault: %v", rep.Err())
 	}
 }
@@ -110,7 +97,7 @@ func TestCheckChoiceViolation(t *testing.T) {
 	g := graph.Triangle()
 	run, correct := runWeak(t, g, NewDetectDefault(100), inputsBits(g, 0), nil, 4)
 	rep := Check(run, correct, true)
-	if rep.Choice == nil {
+	if rep.Termination == nil {
 		t.Error("undecided run passed the choice condition")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"flm/internal/graph"
+	"flm/internal/sim"
 )
 
 // This file mechanizes footnote 4 of FLM85: if transmission delays are
@@ -235,8 +236,8 @@ func ZeroDelayRun(g *graph.Graph, inputs map[string]string, faulty map[string]ZD
 }
 
 // CheckZD evaluates weak agreement on a zero-delay result.
-func CheckZD(res *ZDResult, inputs map[string]string, allCorrect bool) Report {
-	var rep Report
+func CheckZD(res *ZDResult, inputs map[string]string, allCorrect bool) sim.Report {
+	var rep sim.Report
 	var names []string
 	for name := range res.Decisions {
 		names = append(names, name)
