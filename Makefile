@@ -40,7 +40,7 @@ ASYNC_CHAOS_SEED ?= 7
 ASYNC_CHAOS_TRIALS ?= 48
 TRACE_FILE ?= /tmp/flm-trace-smoke.jsonl
 CACHE_WARM_DIR ?= /tmp/flm-cache-warm
-CACHE_WARM_MIN_RATE ?= 90
+CACHE_WARM_MIN_RATE ?= 100
 TRACE_REF ?= cmd/flm/testdata/e1_reference_trace.jsonl
 TRACE_REGRESSED ?= cmd/flm/testdata/e1_regressed_trace.jsonl
 TRACE_DIFF_FILE ?= /tmp/flm-trace-diff.jsonl

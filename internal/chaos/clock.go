@@ -43,7 +43,7 @@ func newClockSchedule(rng *rand.Rand) Schedule {
 		// device: trimming f=1 of 2 neighbor readings degenerates anyway.
 		s.Device = "midpoint"
 	}
-	names := graph.Complete(n).Names()
+	names := complete(n).Names()
 	s.Actions = []Action{{
 		Node:     names[rng.Intn(n)],
 		Strategy: "clock-liar",
@@ -91,7 +91,7 @@ func liarScript(g *graph.Graph, liar string, seed int64, until int64) []timedsim
 
 func runClockSchedule(s Schedule) Outcome {
 	params := chaosClockParams()
-	g := graph.Complete(s.N)
+	g := complete(s.N)
 	names := g.Names()
 
 	// Deterministic heterogeneous hardware clocks inside the [p, q]

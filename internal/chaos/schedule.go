@@ -141,6 +141,36 @@ var initdeadProtocol = protocol{
 	deadOnly: true,
 }
 
+// completeGraphs holds K_n for every size a generator draws (the panel,
+// initdead and clock sizes), built once: a schedule's graph depends only
+// on its size, and graph.Graph has no lazy state, so every trial and
+// shrinker re-execution reads the same copy concurrently with no lock.
+var completeGraphs = func() []*graph.Graph {
+	maxN := 4 // newClockSchedule draws K3 or K4
+	for _, p := range panel {
+		for _, size := range p.sizes {
+			maxN = max(maxN, size.n)
+		}
+	}
+	for _, size := range initdeadSizes {
+		maxN = max(maxN, size.n)
+	}
+	gs := make([]*graph.Graph, maxN+1)
+	for n := range gs {
+		gs[n] = graph.Complete(n)
+	}
+	return gs
+}()
+
+// complete returns the shared K_n, or a fresh one for a size no
+// generator draws. Callers must not add edges to it.
+func complete(n int) *graph.Graph {
+	if n >= 0 && n < len(completeGraphs) {
+		return completeGraphs[n]
+	}
+	return graph.Complete(n)
+}
+
 // approxAveragingRounds is the DLPSW iteration count used by chaos
 // trials: enough that the guaranteed halving makes the output spread
 // strictly smaller than any input spread the generator can produce.
@@ -186,8 +216,7 @@ func NewScheduleWith(seed int64, i int, o GenOpts) Schedule {
 	}
 	p := panel[rng.Intn(len(panel))]
 	size := p.sizes[rng.Intn(len(p.sizes))]
-	g := graph.Complete(size.n)
-	names := g.Names()
+	names := complete(size.n).Names()
 
 	s := Schedule{
 		Protocol: p.name,
@@ -233,8 +262,7 @@ var initdeadSizes = []struct{ n, t int }{{3, 1}, {4, 2}, {5, 2}, {6, 3}, {7, 3}}
 // inputs that the impossibility argument predicts will disagree.
 func newInitdeadSchedule(rng *rand.Rand, o GenOpts) Schedule {
 	size := initdeadSizes[rng.Intn(len(initdeadSizes))]
-	g := graph.Complete(size.n)
-	names := g.Names()
+	names := complete(size.n).Names()
 	s := Schedule{
 		Protocol: "initdead",
 		N:        size.n,
@@ -295,7 +323,7 @@ func RunSchedule(s Schedule) Outcome {
 	if !ok {
 		return Outcome{EngineErr: fmt.Errorf("chaos: unknown protocol %q", s.Protocol)}
 	}
-	g := graph.Complete(s.N)
+	g := complete(s.N)
 	names := g.Names()
 	if len(s.Inputs) != len(names) {
 		return Outcome{EngineErr: fmt.Errorf("chaos: %d inputs for %d nodes", len(s.Inputs), len(names))}

@@ -226,6 +226,40 @@ func TestCITestsCacheOffOneWorker(t *testing.T) {
 	}
 }
 
+// TestMakefileCacheWarmPinned: the workflow's cache-warm job runs
+// `make cache-warm`, whose recipe runs flm all cold and then warm
+// against one store, diffs the two reports, and gates the warm trace on
+// `flm stats -mindiskrate $(CACHE_WARM_MIN_RATE)`; the floor's default
+// is 100, so a codec that cannot read back even one blob fails it.
+func TestMakefileCacheWarmPinned(t *testing.T) {
+	data, err := os.ReadFile("../../.github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)run:\s+make cache-warm\b`).MatchString(ciJob(t, string(data), "cache-warm")) {
+		t.Error("CI cache-warm job no longer runs make cache-warm")
+	}
+	makefile, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := recipe(t, string(makefile), "cache-warm")
+	for name, pattern := range map[string]string{
+		"cold run":        `FLM_CACHE_DIR=\$\(CACHE_WARM_DIR\) \$\(GO\) run \./cmd/flm all > \$\(CACHE_WARM_DIR\)\.cold\.txt`,
+		"traced warm run": `FLM_CACHE_DIR=\$\(CACHE_WARM_DIR\) \$\(GO\) run \./cmd/flm all -trace \$\(CACHE_WARM_DIR\)\.jsonl > \$\(CACHE_WARM_DIR\)\.warm\.txt`,
+		"report diff":     `diff \$\(CACHE_WARM_DIR\)\.cold\.txt \$\(CACHE_WARM_DIR\)\.warm\.txt`,
+		"disk-rate gate":  `stats -mindiskrate \$\(CACHE_WARM_MIN_RATE\) \$\(CACHE_WARM_DIR\)\.jsonl`,
+	} {
+		if !regexp.MustCompile(pattern).MatchString(warm) {
+			t.Errorf("make cache-warm lost its %s (pattern %q) in\n%s", name, pattern, warm)
+		}
+	}
+	m := regexp.MustCompile(`(?m)^CACHE_WARM_MIN_RATE\s*\?=\s*(\S+)`).FindStringSubmatch(string(makefile))
+	if m == nil || m[1] != "100" {
+		t.Errorf("Makefile CACHE_WARM_MIN_RATE default is %v, want 100", m)
+	}
+}
+
 // TestExperimentConstsPinned: E18/E20 run the exact smoke pairs. The
 // consts alias chaos's, so this is a tripwire against someone
 // re-hardcoding them.

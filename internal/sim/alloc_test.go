@@ -4,6 +4,7 @@ package sim
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"flm/internal/obs"
@@ -39,5 +40,34 @@ func TestExecuteUntracedAllocsLikeExecutor(t *testing.T) {
 	body := allocs(func(sys *System) (*Run, error) { return executeCore(ctx, sys, 3, FullRecording, false) })
 	if public != body {
 		t.Fatalf("untraced ExecuteCtx allocates %v objects per run, executeCore %v", public, body)
+	}
+}
+
+// TestReplayFingerprintOneAllocationForItsBytes: besides the sorted name
+// list, the fingerprint allocates only its own bytes, once.
+func TestReplayFingerprintOneAllocationForItsBytes(t *testing.T) {
+	d := NewReplayDevice(map[string][]Payload{
+		"a": {"1", None, Payload(strings.Repeat("p", 120))},
+		"b": {"x|y", "z:,"},
+	})
+	if n := testing.AllocsPerRun(100, func() { d.DeviceFingerprint() }); n != 2 {
+		t.Fatalf("DeviceFingerprint made %.0f allocations, want 2 (names, buffer)", n)
+	}
+}
+
+// TestDecodeCanonicalAllocatesNothing: the canonical-form check writes
+// the value back into a stack buffer, so decoding a well-formed real or
+// integer payload allocates nothing.
+func TestDecodeCanonicalAllocatesNothing(t *testing.T) {
+	x, n := EncodeReal(0.4), EncodeInt(-1234)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeReal(x); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeInt(n); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("decoding canonical payloads made %.0f allocations, want 0", allocs)
 	}
 }

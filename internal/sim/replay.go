@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -118,7 +117,9 @@ func (d *ReplayDevice) Output() (Decision, bool) { return Decision{}, false }
 
 // DeviceFingerprint canonically encodes the post-Init scripts — a replay
 // device's behavior is its script content, nothing else — making spliced
-// G-systems content-addressable.
+// G-systems content-addressable. It runs before every cache lookup of a
+// spliced system, so it writes the decimal lengths itself, into one
+// buffer grown up front.
 func (d *ReplayDevice) DeviceFingerprint() string {
 	nbs := make([]string, 0, len(d.scripts))
 	total := 0
@@ -133,11 +134,20 @@ func (d *ReplayDevice) DeviceFingerprint() string {
 	var b strings.Builder
 	b.Grow(len("replay") + total)
 	b.WriteString("replay")
+	var num [20]byte
 	for _, nb := range nbs {
 		seq := d.scripts[nb]
-		fmt.Fprintf(&b, "|%d:%s:%d", len(nb), nb, len(seq))
+		b.WriteByte('|')
+		b.Write(strconv.AppendInt(num[:0], int64(len(nb)), 10))
+		b.WriteByte(':')
+		b.WriteString(nb)
+		b.WriteByte(':')
+		b.Write(strconv.AppendInt(num[:0], int64(len(seq)), 10))
 		for _, p := range seq {
-			fmt.Fprintf(&b, ",%d:%s", len(p), p)
+			b.WriteByte(',')
+			b.Write(strconv.AppendInt(num[:0], int64(len(p)), 10))
+			b.WriteByte(':')
+			b.WriteString(string(p))
 		}
 	}
 	return b.String()

@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"flm/internal/graph"
@@ -96,5 +100,56 @@ func TestReplayFingerprintTracksScripts(t *testing.T) {
 	moved := map[string][]Payload{"a": {"1", "2", "3"}, "b": {}}
 	if build(base).DeviceFingerprint() == build(moved).DeviceFingerprint() {
 		t.Fatal("different audiences collided")
+	}
+}
+
+// fmtReplayFingerprint is DeviceFingerprint's encoding as fmt writes it:
+// the oracle the hand-rolled encoder must match byte for byte, so run
+// keys of spliced systems stay what they were.
+func fmtReplayFingerprint(scripts map[string][]Payload) string {
+	nbs := make([]string, 0, len(scripts))
+	for nb := range scripts {
+		nbs = append(nbs, nb)
+	}
+	sort.Strings(nbs)
+	var b strings.Builder
+	b.WriteString("replay")
+	for _, nb := range nbs {
+		seq := scripts[nb]
+		fmt.Fprintf(&b, "|%d:%s:%d", len(nb), nb, len(seq))
+		for _, p := range seq {
+			fmt.Fprintf(&b, ",%d:%s", len(p), p)
+		}
+	}
+	return b.String()
+}
+
+// TestReplayFingerprintMatchesFmt compares DeviceFingerprint with the fmt
+// oracle over random scripts: no scripts at all, empty scripts and empty
+// payloads, lengths of one to three digits, and names and payloads
+// holding the encoding's own separators.
+func TestReplayFingerprintMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	const alphabet = "ab|:,;x0"
+	word := func(max int) string {
+		b := make([]byte, rng.Intn(max+1))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	lengths := []int{0, 1, 9, 10, 99, 100, 250}
+	for trial := 0; trial < 300; trial++ {
+		scripts := map[string][]Payload{}
+		for k := rng.Intn(5); k > 0; k-- {
+			seq := make([]Payload, lengths[rng.Intn(len(lengths))]/(1+rng.Intn(3)))
+			for i := range seq {
+				seq[i] = Payload(word(lengths[rng.Intn(len(lengths))]))
+			}
+			scripts[word(12)] = seq
+		}
+		if got, want := NewReplayDevice(scripts).DeviceFingerprint(), fmtReplayFingerprint(scripts); got != want {
+			t.Fatalf("trial %d: fingerprint\n%q\nwant\n%q", trial, got, want)
+		}
 	}
 }

@@ -15,21 +15,31 @@ import (
 // sequences. Decision-only (fast mode) runs encode just the first part;
 // the same frame handles both via a flags byte.
 //
+// Names, inputs and decisions are uvarint-length-delimited strings. The
+// snapshot and edge sections share one string table instead: each
+// recorded string is a uvarint tag, 0 for a new entry (its
+// length-delimited bytes follow) and k > 0 for a reference to entry k,
+// the k-th distinct string of those sections in blob order. A state a
+// node keeps for several rounds, or a payload it broadcasts on every
+// port, is written once and then costs a byte or two per occurrence.
+//
 // The encoding is canonical: node order is graph index order, edge order
-// is graph.DirectedEdges order (lexicographic), every string is
-// uvarint-length-delimited. Two encodes of the same Run are
-// byte-identical, and no map is ever iterated in map order — the
+// is graph.DirectedEdges order (lexicographic), and a string enters the
+// table at its first occurrence in that order. Two encodes of the same
+// Run are byte-identical, and no map is ever iterated in map order — the
 // package's determinism contract extends to the bytes it persists.
 //
 // Decoding is defensive: any structural violation (bad magic, counts out
-// of range, truncated fields) returns an error, which the cache layer
-// treats exactly like a corrupt blob — delete and recompute. A decoded
-// blob can therefore never poison an execution; the worst case of a
-// damaged cache directory is a cache miss.
+// of range, truncated fields, a reference past the table) returns an
+// error, which the cache layer treats exactly like a corrupt blob —
+// delete and recompute. A decoded blob can therefore never poison an
+// execution; the worst case of a damaged cache directory is a cache
+// miss.
 
 // runBlobMagic versions the Run frame; bump on any shape change so stale
-// blobs from older binaries read as corrupt instead of misdecoding.
-const runBlobMagic = "sim.runblob/v1"
+// blobs from older binaries read as corrupt instead of misdecoding. v2
+// added the string table of the snapshot and edge sections.
+const runBlobMagic = "sim.runblob/v2"
 
 // maxBlobNodes bounds decoded allocations against nonsense counts in a
 // damaged blob. Far above any graph this reproduction builds.
@@ -52,7 +62,7 @@ func (RunCodec) Encode(v any) ([]byte, bool) {
 	g := r.G
 	n := g.N()
 
-	b := make([]byte, 0, runBlobSize(r))
+	b := make([]byte, 0, 256) // three in four blobs fit; append grows the rest
 	b = appendBlobStr(b, runBlobMagic)
 	b = binary.AppendUvarint(b, uint64(n))
 	for u := 0; u < n; u++ {
@@ -84,30 +94,47 @@ func (RunCodec) Encode(v any) ([]byte, bool) {
 		flags |= 2
 	}
 	b = append(b, flags)
+	tab := make(map[string]uint64)
 	if r.Snapshots != nil {
 		for u := 0; u < n; u++ {
-			b = binary.AppendUvarint(b, uint64(len(r.Snapshots[u])))
-			for _, s := range r.Snapshots[u] {
-				b = appendBlobStr(b, s)
-			}
+			b = appendTabled(b, tab, r.Snapshots[u])
 		}
 	}
 	if r.Edges != nil {
 		for _, e := range g.DirectedEdges() {
-			seq := r.Edges[e]
-			b = binary.AppendUvarint(b, uint64(len(seq)))
-			for _, p := range seq {
-				b = appendBlobStr(b, string(p))
-			}
+			b = appendTabled(b, tab, r.Edges[e])
 		}
 	}
 	return b, true
 }
 
-// Decode reconstructs a Run from its blob. Snapshot strings and
-// payloads are interned per decode, mirroring executeCore's interning,
-// so a decoded full recording retains one canonical copy of each
-// distinct state/payload.
+// appendTabled appends a counted sequence of table tags: a new entry for
+// a string tab has not seen, a reference for one it has. A repeat of
+// the previous string reuses its tag without a lookup; for the interned
+// strings of a recorded run that comparison stops at the pointers.
+func appendTabled[S ~string](b []byte, tab map[string]uint64, seq []S) []byte {
+	b = binary.AppendUvarint(b, uint64(len(seq)))
+	var ref uint64
+	for i, s := range seq {
+		if i == 0 || s != seq[i-1] {
+			var seen bool
+			if ref, seen = tab[string(s)]; !seen {
+				ref = uint64(len(tab)) + 1
+				tab[string(s)] = ref
+				b = appendBlobStr(append(b, 0), string(s))
+				continue
+			}
+		}
+		b = binary.AppendUvarint(b, ref)
+	}
+	return b
+}
+
+// Decode reconstructs a Run from its blob. Each new entry of the string
+// table is read into one string, and every reference to it resolves to
+// that same string, so a decoded full recording retains one copy of
+// each distinct state and payload, as executeCore's interning does for
+// a cold run.
 func (RunCodec) Decode(data []byte) (any, error) {
 	d := blobReader{data: data}
 	if magic := d.str(); magic != runBlobMagic {
@@ -149,23 +176,15 @@ func (RunCodec) Decode(data []byte) (any, error) {
 	}
 	flags := d.byteVal()
 	if flags&1 != 0 {
-		intern := make(map[string]string, 2*n)
 		r.Snapshots = make([][]string, n)
 		for u := 0; u < n && d.err == nil; u++ {
 			r.Snapshots[u] = make([]string, d.items(1<<30))
 			for i := range r.Snapshots[u] {
-				s := d.str()
-				if c, ok := intern[s]; ok {
-					s = c
-				} else {
-					intern[s] = s
-				}
-				r.Snapshots[u][i] = s
+				r.Snapshots[u][i] = d.tabled()
 			}
 		}
 	}
 	if flags&2 != 0 {
-		intern := make(map[Payload]Payload, 4*n)
 		r.Edges = make(map[graph.Edge][]Payload, 2*g.NumEdges())
 		for _, e := range g.DirectedEdges() {
 			if d.err != nil {
@@ -173,13 +192,7 @@ func (RunCodec) Decode(data []byte) (any, error) {
 			}
 			seq := make([]Payload, d.items(1<<30))
 			for i := range seq {
-				p := Payload(d.str())
-				if c, ok := intern[p]; ok {
-					p = c
-				} else {
-					intern[p] = p
-				}
-				seq[i] = p
+				seq[i] = Payload(d.tabled())
 			}
 			r.Edges[e] = seq
 		}
@@ -191,11 +204,6 @@ func (RunCodec) Decode(data []byte) (any, error) {
 		return nil, errors.New("sim: run blob has trailing bytes")
 	}
 	return r, nil
-}
-
-// runBlobSize pre-sizes the encode buffer; an estimate, not a contract.
-func runBlobSize(r *Run) int {
-	return 64 + int(runCost(r))
 }
 
 // runCost estimates the retained bytes of a cached *Run for the L1
@@ -249,6 +257,7 @@ func appendBlobStr(b []byte, s string) []byte {
 type blobReader struct {
 	data []byte
 	err  error
+	tab  []string // the string table's entries, in blob order
 }
 
 func (d *blobReader) uvarint() uint64 {
@@ -292,6 +301,26 @@ func (d *blobReader) str() string {
 	s := string(d.data[:n])
 	d.data = d.data[n:]
 	return s
+}
+
+// tabled reads one table tag: a new entry joins the table, and a
+// reference resolves to the entry's string itself, not a copy.
+func (d *blobReader) tabled() string {
+	k := d.uvarint()
+	switch {
+	case d.err != nil:
+		return ""
+	case k == 0:
+		s := d.str()
+		if d.err == nil {
+			d.tab = append(d.tab, s)
+		}
+		return s
+	case k > uint64(len(d.tab)):
+		d.err = fmt.Errorf("sim: run blob reference %d past a table of %d", k, len(d.tab))
+		return ""
+	}
+	return d.tab[k-1]
 }
 
 func (d *blobReader) byteVal() byte {

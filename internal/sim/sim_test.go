@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -465,15 +466,30 @@ func TestCodecRoundTrips(t *testing.T) {
 	if _, err := DecodeBool("2"); err == nil {
 		t.Error("bad bool accepted")
 	}
-	if _, err := DecodeReal("zz"); err == nil {
-		t.Error("bad real accepted")
+	// Forms ParseFloat and Atoi read but the encoders never write, and
+	// non-finite reals: a decoder that took them would read a faulty
+	// node's payload as a value no honest node can send.
+	for _, s := range []string{"zz", "", "0x1p3", "0x1P-2", "1_0", "+1", "1e0", ".5", "5.", "007", "Inf", "infinity", "NaN", "-0.0", "1.7976931348623157e308", " 1"} {
+		if x, err := DecodeReal(s); err == nil {
+			t.Errorf("DecodeReal(%q) = %v, want an error", s, x)
+		}
 	}
-	if _, err := DecodeInt("1.5"); err == nil {
-		t.Error("bad int accepted")
+	for _, s := range []string{"1.5", "", "+1", "+3", "007", "-0", "1_0", "0x10", " 1"} {
+		if n, err := DecodeInt(s); err == nil {
+			t.Errorf("DecodeInt(%q) = %d, want an error", s, n)
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 8, -0.25, 0.4, 1e21, 5e-324, math.MaxFloat64} {
+		if got, err := DecodeReal(EncodeReal(x)); err != nil || math.Float64bits(got) != math.Float64bits(x) {
+			t.Errorf("DecodeReal(EncodeReal(%v)) = %v, %v", x, got, err)
+		}
 	}
 	prop := func(x float64) bool {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return true
+		}
 		got, err := DecodeReal(EncodeReal(x))
-		return err == nil && (got == x || (x != x && got != got)) // NaN-safe
+		return err == nil && math.Float64bits(got) == math.Float64bits(x)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
